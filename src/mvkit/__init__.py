@@ -78,7 +78,6 @@ from .symbolic import (
     SymbolicElement,
     SymbolicUltrafilter,
     UnboundedClass,
-    chain_order_at,
     completion_report,
     decide_strongly_complete,
     in_kernel,

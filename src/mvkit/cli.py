@@ -72,6 +72,19 @@ def _int_field(doc, key):
     return v
 
 
+def _index_keyed_ints(mapping, what):
+    """{index: integer} from an object keyed by ASCII digit strings."""
+    out = {}
+    for key, value in mapping.items():
+        # str.isdigit alone also admits "²", which int() rejects
+        _expect(isinstance(key, str) and key.isascii() and key.isdigit(),
+                f"{what} key {key!r} must be a digit string")
+        _expect(isinstance(value, int) and not isinstance(value, bool),
+                f"{what} value for {key} must be an integer")
+        out[int(key)] = value
+    return out
+
+
 def parse_index_spec(doc) -> IndexSpec:
     period = _int_field(doc, "period")
     classes_doc = doc.get("classes")
@@ -88,12 +101,7 @@ def parse_index_spec(doc) -> IndexSpec:
             raise SchemaError(f"class kind must be 'const' or 'unbounded', got {kind!r}")
     overrides_doc = doc.get("prefix_overrides", {})
     _expect(isinstance(overrides_doc, dict), "field 'prefix_overrides' must be an object")
-    overrides = {}
-    for key, value in overrides_doc.items():
-        _expect(isinstance(key, str) and key.isdigit(), f"override key {key!r} must be a digit string")
-        _expect(isinstance(value, int) and not isinstance(value, bool),
-                f"override value for {key} must be an integer")
-        overrides[int(key)] = value
+    overrides = _index_keyed_ints(overrides_doc, "override")
     index_set = doc.get("index_set")
     _expect(isinstance(index_set, dict), "field 'index_set' must be an object")
     kind = index_set.get("kind")
@@ -130,7 +138,8 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
         _expect(len(neg) == size, f"field 'neg' must have {size} entries")
         labels = doc.get("labels")
         if labels is not None:
-            _expect(isinstance(labels, list) and len(labels) == size,
+            _expect(isinstance(labels, list) and len(labels) == size
+                    and all(isinstance(s, str) for s in labels),
                     f"field 'labels' must be a list of {size} strings")
         return "finite", from_tables(size, zero, oplus, neg, labels, max_size=max_size)
     if kind == "product":
@@ -157,12 +166,7 @@ def parse_symbolic_element(doc, spec: IndexSpec) -> SymbolicElement:
             raise SchemaError(f"class value {v!r} must be an integer, 'zero' or 'top'")
     prefix_doc = doc.get("prefix", {})
     _expect(isinstance(prefix_doc, dict), "field 'prefix' must be an object")
-    prefix = {}
-    for key, value in prefix_doc.items():
-        _expect(isinstance(key, str) and key.isdigit(), f"prefix key {key!r} must be a digit string")
-        _expect(isinstance(value, int) and not isinstance(value, bool),
-                f"prefix value for {key} must be an integer")
-        prefix[int(key)] = value
+    prefix = _index_keyed_ints(prefix_doc, "prefix")
     return SymbolicElement(spec, modulus, prefix, values)
 
 
@@ -372,7 +376,15 @@ def cmd_decide_sc(args, doc):
 
 def cmd_census(args, doc):
     spec = _require_symbolic(parse_algebra_document(doc, args.max_size), "census")
-    window = args.principal_limit if args.principal_limit is not None else args.max_truncation
+    window = args.principal_limit
+    if window is None:
+        window = args.max_truncation
+    else:
+        _expect(window >= 0, f"--principal-limit must be >= 0, got {window}")
+        if window > args.max_truncation:
+            raise ResourceCapError(window, args.max_truncation, (
+                f"--principal-limit {window} exceeds the --max-truncation cap "
+                f"of {args.max_truncation}"))
     descriptors = maximal_ideal_census(spec, principal_limit=window)
     principal = [descriptor_json(d) for d in descriptors if d.kind == "principal"]
     free = [descriptor_json(d) for d in descriptors if d.kind == "free_class"]

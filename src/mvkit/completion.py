@@ -4,9 +4,10 @@ The index poset is the full ideal set ordered by reverse inclusion (for a
 finite algebra every quotient is finite, and the improper ideal contributes
 one forced coordinate through its trivial quotient).  The completion is
 realized concretely as the subalgebra of compatible threads inside the
-product of all quotients, and the canonical map a -> ([a]_I)_I is checked
-for injectivity, surjectivity and the homomorphism property rather than
-inferred from structure theory.
+product of all quotients; the threads are certified at the zero ideal, the
+least node, instead of searched for.  The canonical map a -> ([a]_I)_I is
+checked for injectivity, surjectivity and the homomorphism property rather
+than inferred from structure theory.
 
 Two verification reports cover the interaction with the Boolean center on
 regular algebras: the ideal-poset correspondence I -> I n B(A) together with
@@ -28,7 +29,7 @@ from .finite import (
     are_isomorphic,
     center_algebra,
 )
-from .ideals import Ideal, all_ideals, is_regular, make_ideal, quotient
+from .ideals import all_ideals, is_ideal, is_regular, make_ideal, quotient
 
 
 class InverseSystem:
@@ -47,28 +48,23 @@ class InverseSystem:
         self.transitions = transitions
         self.subset = subset
 
-    def quotient_of(self, ideal: Ideal):
-        i = self.ideals.index(ideal)
-        return self.quotients[i], self.projections[i]
-
     def __repr__(self):
         return f"InverseSystem({len(self.ideals)} ideals over size {self.algebra.size})"
-
-
-def _first_occurrences(projection, count):
-    reps = np.full(count, -1, dtype=np.int32)
-    for x, c in enumerate(projection):
-        if reps[c] < 0:
-            reps[c] = x
-    return reps
 
 
 def build_inverse_system(algebra: FiniteMVAlgebra,
                          max_size=DEFAULT_MAX_SIZE) -> InverseSystem:
     """Quotients by every ideal plus verified transition maps.
 
-    Transition maps are checked to be well defined, surjective, the identity
-    on equal ideals, and functorial along every comparable triple.
+    For each comparable pair ideals[i] <= ideals[j] the transition t_ij is
+    read off at the least member of every class of A/ideals[i] and checked
+    to be well defined: proj_j == t_ij o proj_i.  Every projection is onto
+    (`quotient` numbers classes by their least member), so that one equation
+    already forces t_ij onto, t_ii = id and t_jm o t_ij = t_im.
+
+    Cost for k ideals over n elements: O(k * n^2) for the quotients, one
+    k x n by n x k boolean product for the subset matrix (O(k^2 * n), within
+    the former), plus O(c * n) for the c comparable pairs.
     """
     ideals = all_ideals(algebra, max_size)
     k = len(ideals)
@@ -79,36 +75,20 @@ def build_inverse_system(algebra: FiniteMVAlgebra,
         q, proj = quotient(algebra, ideal)
         quotients.append(q)
         projections.append(np.asarray(proj, dtype=np.int32))
-        reps.append(_first_occurrences(proj, q.size))
+        reps.append(np.unique(projections[-1], return_index=True)[1])
 
-    subset = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            subset[i, j] = ideals[i].members <= ideals[j].members
+    member = np.zeros((k, algebra.size), dtype=bool)
+    for i, ideal in enumerate(ideals):
+        member[i, list(ideal.members)] = True
+    # row i of member @ ~member.T is true where ideals[i] has a member outside ideals[j]
+    subset = ~(member @ ~member.T)
 
     transitions = {}
-    for i in range(k):
-        for j in range(k):
-            if not subset[i, j]:
-                continue
-            t = projections[j][reps[i]]
-            if (projections[j] != t[projections[i]]).any():
-                raise InternalConsistencyError("transition map is not well defined")
-            if len(np.unique(t)) != quotients[j].size:
-                raise InternalConsistencyError("transition map is not surjective")
-            if i == j and (t != np.arange(quotients[i].size)).any():
-                raise InternalConsistencyError("self-transition is not the identity")
-            transitions[(i, j)] = t
-
-    for i in range(k):
-        for j in range(k):
-            if not subset[i, j]:
-                continue
-            for m in range(k):
-                if not subset[j, m]:
-                    continue
-                if (transitions[(j, m)][transitions[(i, j)]] != transitions[(i, m)]).any():
-                    raise InternalConsistencyError("transition maps are not functorial")
+    for i, j in zip(*np.nonzero(subset)):
+        t = projections[j][reps[i]]
+        if (projections[j] != t[projections[i]]).any():
+            raise InternalConsistencyError("transition map is not well defined")
+        transitions[(int(i), int(j))] = t
 
     return InverseSystem(algebra, ideals, tuple(quotients),
                          tuple(tuple(int(c) for c in p) for p in projections),
@@ -129,128 +109,36 @@ class CompletionResult:
         return self.completion.size
 
 
-def _enumerate_threads(system: InverseSystem):
-    """All compatible choices of one quotient class per poset node.
-
-    Nodes are visited by decreasing ideal size so the coarse quotients
-    constrain the fine ones early.
-    """
-    ideals = system.ideals
-    k = len(ideals)
-    order = sorted(range(k),
-                   key=lambda i: (-len(ideals[i].members), ideals[i].sorted_members))
-    position = {node: p for p, node in enumerate(order)}
-    ups = [[] for _ in range(k)]    # earlier nodes j with ideals[i] <= ideals[j]
-    downs = [[] for _ in range(k)]  # earlier nodes j with ideals[j] <= ideals[i]
-    for i in range(k):
-        for j in range(k):
-            if i == j or position[j] >= position[i]:
-                continue
-            if system.subset[i, j]:
-                ups[i].append(j)
-            if system.subset[j, i]:
-                downs[i].append(j)
-
-    transitions = system.transitions
-    sizes = [q.size for q in system.quotients]
-    assign = [-1] * k
-    threads = []
-
-    def extend(p):
-        if p == k:
-            threads.append(tuple(assign))
-            return
-        i = order[p]
-        forced = None
-        for j in downs[i]:
-            v = int(transitions[(j, i)][assign[j]])
-            if forced is None:
-                forced = v
-            elif forced != v:
-                return
-        candidates = (forced,) if forced is not None else range(sizes[i])
-        for v in candidates:
-            if all(int(transitions[(i, j)][v]) == assign[j] for j in ups[i]):
-                assign[i] = v
-                extend(p + 1)
-                assign[i] = -1
-
-    extend(0)
-    threads.sort()
-    return threads
-
-
-_MAX_CODE_SPACE = 2 ** 62
-
-
 def profinite_completion(algebra: FiniteMVAlgebra,
                          max_size=DEFAULT_MAX_SIZE) -> CompletionResult:
-    """The compatible-thread subalgebra and the canonical map into it."""
+    """The compatible-thread subalgebra and the canonical map into it.
+
+    The threads are certified rather than searched for.  The zero ideal is
+    the least node of the poset (its subset row is all true) and its
+    projection is checked injective.  A thread x is then fixed by its
+    coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is compatible
+    because the transitions compose; so the threads are exactly these, one
+    per class a at the least node.  The transitions are homomorphisms
+    (proj_j = t_0j o proj_0 with proj_0 onto), so componentwise operations on
+    threads are the quotient operations at that node.  The least node comes
+    first in all_ideals order, so numbering threads by their class there is
+    their lexicographic order.
+
+    The canonical map is then checked injective, surjective and a
+    homomorphism, and the completion isomorphic to the algebra.  Cost: that
+    of build_inverse_system plus O(n^2) for the final check.
+    """
     system = build_inverse_system(algebra, max_size)
-    threads = _enumerate_threads(system)
-    k = len(system.ideals)
-    sizes = [q.size for q in system.quotients]
-
-    # mixed-radix codes identify threads; stay in numpy while they fit int64
-    space = 1
-    for s in sizes:
-        space *= s
-    use_numpy = space < _MAX_CODE_SPACE
-
-    m = len(threads)
-    if use_numpy:
-        strides = np.empty(k, dtype=np.int64)
-        acc = 1
-        for i in range(k - 1, -1, -1):
-            strides[i] = acc
-            acc *= sizes[i]
-        T = np.asarray(threads, dtype=np.int64).reshape(m, k)
-        codes = T @ strides
-        if (np.diff(codes) <= 0).any():
-            raise InternalConsistencyError("thread codes are not strictly increasing")
-
-        def lookup(code_arr):
-            idx = np.searchsorted(codes, code_arr)
-            if (idx >= m).any() or (codes[idx] != code_arr).any():
-                raise InternalConsistencyError("componentwise result escapes the thread set")
-            return idx.astype(np.int32)
-
-        op_codes = np.zeros((m, m), dtype=np.int64)
-        neg_codes = np.zeros(m, dtype=np.int64)
-        for i in range(k):
-            col = T[:, i].astype(np.int32)
-            q = system.quotients[i]
-            op_codes += q.oplus_table[np.ix_(col, col)].astype(np.int64) * strides[i]
-            neg_codes += q.neg_table[col].astype(np.int64) * strides[i]
-        op_idx = lookup(op_codes.ravel()).reshape(m, m)
-        neg_idx = lookup(neg_codes)
-
-        proj_mat = np.asarray(system.projections, dtype=np.int64)  # (k, carrier)
-        carrier_codes = strides @ proj_mat
-        canonical = lookup(carrier_codes)
-        zero_idx = int(canonical[algebra.zero])
-        completion = FiniteMVAlgebra(m, zero_idx, op_idx, neg_idx)
-        canonical = tuple(int(c) for c in canonical)
-    else:
-        index = {t: i for i, t in enumerate(threads)}
-
-        def combine(f, ta, tb=None):
-            out = []
-            for i in range(k):
-                q = system.quotients[i]
-                out.append(q.op(ta[i], tb[i]) if f == "op" else q.neg(ta[i]))
-            key = tuple(out)
-            if key not in index:
-                raise InternalConsistencyError("componentwise result escapes the thread set")
-            return index[key]
-
-        op_idx = [[combine("op", a, b) for b in threads] for a in threads]
-        neg_idx = [combine("neg", a) for a in threads]
-        canonical = tuple(
-            index[tuple(system.projections[i][a] for i in range(k))]
-            for a in range(algebra.size)
-        )
-        completion = FiniteMVAlgebra(m, canonical[algebra.zero], op_idx, neg_idx)
+    least = np.flatnonzero(system.subset.all(axis=1))
+    if len(least) != 1:
+        raise InternalConsistencyError("the ideal poset has no least node")
+    node = least[0]
+    at_least = system.quotients[node]
+    canonical = system.projections[node]
+    if len(set(canonical)) != algebra.size:
+        raise InternalConsistencyError("the projection at the least node is not injective")
+    m = at_least.size
+    completion = FiniteMVAlgebra(m, at_least.zero, at_least.oplus_table, at_least.neg_table)
 
     can_arr = np.asarray(canonical, dtype=np.int32)
     injective = len(set(canonical)) == algebra.size
@@ -310,20 +198,18 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     center_set = set(emb)
     ideals_c = all_ideals(center, max_size)
 
-    from .ideals import is_ideal as _is_ideal_check
-
     psi = [frozenset(pos_in_center[m] for m in ideal.members if m in center_set)
            for ideal in ideals_a]
-    well_defined = all(_is_ideal_check(center, mem) for mem in psi)
+    well_defined = all(is_ideal(center, mem) for mem in psi)
     injective = len(set(psi)) == k
     surjective = set(psi) == {ideal.members for ideal in ideals_c}
     preserves = all(
         psi[i] <= psi[j]
         for i in range(k) for j in range(k)
-        if ideals_a[i].members <= ideals_a[j].members
+        if system.subset[i, j]
     )
     reverses = all(
-        ideals_a[i].members <= ideals_a[j].members
+        system.subset[i, j]
         for i in range(k) for j in range(k)
         if psi[i] <= psi[j]
     )
@@ -373,7 +259,7 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     if isos_ok:
         for i in range(k):
             quot_c_i, proj_c_i, _, emb_q_i, _ = node[i]
-            reps_c_i = _first_occurrences(proj_c_i, quot_c_i.size)
+            reps_c_i = np.unique(proj_c_i, return_index=True)[1]
             for j in range(k):
                 if not system.subset[i, j]:
                     continue

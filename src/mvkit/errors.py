@@ -15,10 +15,10 @@ class SchemaError(MVKitError):
 
 
 class ResourceCapError(MVKitError):
-    """A computation would exceed the configured carrier-size cap."""
+    """A computation would exceed a configured cap (carrier size, index window)."""
 
-    def __init__(self, needed, cap):
-        super().__init__(f"carrier size {needed} exceeds the cap of {cap}")
+    def __init__(self, needed, cap, message=None):
+        super().__init__(message or f"carrier size {needed} exceeds the cap of {cap}")
         self.needed = needed
         self.cap = cap
 

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, decompose
+from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, center_algebra, decompose
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,6 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
 
 def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?"""
-    from .finite import center_algebra
-
     center, emb = center_algebra(algebra)
     for ideal in all_ideals(center, max_size):
         cmask = _member_mask(center, ideal.members)

@@ -134,10 +134,6 @@ class IndexSpec:
         return f"IndexSpec(period={self.period}, {tail})"
 
 
-def chain_order_at(spec: IndexSpec, x: int) -> int:
-    return spec.order_at(x)
-
-
 class SymbolicElement:
     """An eventually periodic element of the presented product.
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the implementation's own shortcuts:
 ideal enumeration scans raw subsets, isomorphism testing searches for an
-explicit bijective homomorphism, and lattice facts are recomputed from the
-numeric order of chain elements.
+explicit bijective homomorphism, completion threads are found by a
+backtracking search, and lattice facts are recomputed from the numeric order
+of chain elements.
 """
 
 from __future__ import annotations
@@ -127,6 +128,58 @@ def exists_isomorphism(a, b):
         return False
 
     return search()
+
+
+def threads_by_search(system):
+    """All compatible choices of one quotient class per poset node, sorted.
+
+    Backtracking search over the inverse system's transitions; nodes are
+    visited by decreasing ideal size so the coarse quotients constrain the
+    fine ones early.
+    """
+    ideals = system.ideals
+    k = len(ideals)
+    order = sorted(range(k),
+                   key=lambda i: (-len(ideals[i].members), ideals[i].sorted_members))
+    position = {node: p for p, node in enumerate(order)}
+    ups = [[] for _ in range(k)]    # earlier nodes j with ideals[i] <= ideals[j]
+    downs = [[] for _ in range(k)]  # earlier nodes j with ideals[j] <= ideals[i]
+    for i in range(k):
+        for j in range(k):
+            if i == j or position[j] >= position[i]:
+                continue
+            if system.subset[i, j]:
+                ups[i].append(j)
+            if system.subset[j, i]:
+                downs[i].append(j)
+
+    transitions = system.transitions
+    sizes = [q.size for q in system.quotients]
+    assign = [-1] * k
+    threads = []
+
+    def extend(p):
+        if p == k:
+            threads.append(tuple(assign))
+            return
+        i = order[p]
+        forced = None
+        for j in downs[i]:
+            v = int(transitions[(j, i)][assign[j]])
+            if forced is None:
+                forced = v
+            elif forced != v:
+                return
+        candidates = (forced,) if forced is not None else range(sizes[i])
+        for v in candidates:
+            if all(int(transitions[(i, j)][v]) == assign[j] for j in ups[i]):
+                assign[i] = v
+                extend(p + 1)
+                assign[i] = -1
+
+    extend(0)
+    threads.sort()
+    return threads
 
 
 def truncadd(x: Fraction, y: Fraction) -> Fraction:

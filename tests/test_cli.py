@@ -258,3 +258,53 @@ def test_max_size_flag_controls_cap(capsys):
     code, report = invoke(capsys, "verify", {"type": "product", "orders": [4, 4, 4]},
                           "--max-size", "32")
     assert code == 4 and report["error"]["cap"] == 32
+
+
+SPEC_CONST_2 = {
+    "type": "full_product", "period": 1,
+    "classes": [{"kind": "const", "order": 2}],
+    "prefix_overrides": {}, "index_set": {"kind": "infinite"},
+}
+
+
+@pytest.mark.parametrize("key", ["²", "０", "-1"])
+def test_non_ascii_digit_override_key_exits_3(capsys, key):
+    doc = dict(SPEC_CONST_2, prefix_overrides={key: 3})
+    code, report = invoke(capsys, "decide-sc", doc)
+    assert code == 3 and report["error"]["kind"] == "schema"
+    assert "override key" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("key", ["²", "０", "-1"])
+def test_non_ascii_digit_prefix_key_exits_3(capsys, key):
+    element = json.dumps({"modulus": 1, "class_values": [0], "prefix": {key: 1}})
+    code, report = invoke(capsys, "limit", SPEC_CONST_2,
+                          "--element", element, "--ultrafilter", "principal:0")
+    assert code == 3 and report["error"]["kind"] == "schema"
+    assert "prefix key" in report["error"]["message"]
+
+
+def test_census_negative_principal_limit_exits_3(capsys):
+    code, report = invoke(capsys, "census", data.path("example_4_5"),
+                          "--principal-limit", "-5")
+    assert code == 3 and report["error"]["kind"] == "schema"
+
+
+def test_census_principal_limit_above_truncation_cap_exits_4(capsys):
+    code, report = invoke(capsys, "census", data.path("example_4_5"),
+                          "--principal-limit", "17")
+    assert code == 4 and report["error"]["kind"] == "resource-cap"
+    assert report["error"]["cap"] == 16
+    assert "--max-truncation" in report["error"]["message"]
+
+    code, report = invoke(capsys, "census", data.path("example_4_5"),
+                          "--principal-limit", "17", "--max-truncation", "17")
+    assert code == 0 and report["result"]["principal_window"] == 17
+
+
+def test_non_string_labels_exit_3(capsys):
+    doc = {"type": "tables", "size": 2, "zero": 0,
+           "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "labels": [0, {"a": 1}]}
+    code, report = invoke(capsys, "verify", doc)
+    assert code == 3 and report["error"]["kind"] == "schema"
+    assert "labels" in report["error"]["message"]

@@ -1,12 +1,15 @@
 """Inverse systems, the profinite completion, and the center verifications."""
 
+import inspect
+import itertools
 import random
+import sys
 
 import numpy as np
 
 import mvkit as mv
 
-from conftest import shuffled
+from conftest import shuffled, threads_by_search
 
 
 def L(n):
@@ -50,13 +53,18 @@ def test_transition_composition():
                     assert np.array_equal(left, system.transitions[(i, m)])
 
 
+def certified_threads(result):
+    """Thread u of the completion: the classes of any preimage of u at every node."""
+    system = result.system
+    preimage = {u: a for a, u in enumerate(result.canonical_map)}
+    return [tuple(p[preimage[u]] for p in system.projections)
+            for u in range(result.thread_count)]
+
+
 def test_thread_enumeration_matches_filter_oracle():
-    import itertools
-
-    from mvkit.completion import _enumerate_threads
-
     for algebra in (L(3), mv.product([L(2), L(2)]), mv.product([L(2), L(3)])):
-        system = mv.build_inverse_system(algebra)
+        result = mv.profinite_completion(algebra)
+        system = result.system
         k = len(system.ideals)
         expected = set()
         for combo in itertools.product(*(range(q.size) for q in system.quotients)):
@@ -67,7 +75,39 @@ def test_thread_enumeration_matches_filter_oracle():
             )
             if ok:
                 expected.add(combo)
-        assert set(_enumerate_threads(system)) == expected
+        assert set(threads_by_search(system)) == expected
+        assert set(certified_threads(result)) == expected
+
+
+def test_certified_threads_match_search_oracle(family):
+    rng = random.Random(23)
+    for combo, algebra in family:
+        twisted = shuffled(algebra, rng)
+        result = mv.profinite_completion(twisted)
+        threads = certified_threads(result)
+        # same threads, numbered in the oracle's (lexicographic) order
+        assert threads == threads_by_search(result.system), combo
+        # the completion tables are the componentwise operations on threads
+        T = np.asarray(threads, dtype=np.int64)
+        comp = result.completion
+        for j, q in enumerate(result.system.quotients):
+            col = T[:, j]
+            assert np.array_equal(T[comp.oplus_table, j], q.oplus_table[np.ix_(col, col)]), combo
+            assert np.array_equal(T[comp.neg_table, j], q.neg_table[col]), combo
+        assert T[comp.zero].tolist() == [q.zero for q in result.system.quotients]
+
+
+def test_completion_needs_no_deep_recursion():
+    # 128 ideals: a search recursing once per ideal overflows this limit
+    algebra = mv.product([L(2)] * 7)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 80)
+    try:
+        result = mv.profinite_completion(algebra)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert len(result.system.ideals) == 128
+    assert result.thread_count == 128 and result.is_isomorphism
 
 
 def test_completion_examples():
@@ -124,20 +164,6 @@ def test_center_correspondence_examples():
     square = mv.product([L(2), L(2)])
     report = mv.verify_center_correspondence(square)
     assert report.ok and report.ideal_count == 4
-
-
-def test_completion_overflow_fallback(monkeypatch):
-    # force the tuple-dictionary path used when mixed-radix codes overflow
-    import mvkit.completion as completion_mod
-
-    A = mv.product([L(2), L(3)])
-    monkeypatch.setattr(completion_mod, "_MAX_CODE_SPACE", 1)
-    slow = mv.profinite_completion(A)
-    assert slow.is_isomorphism and slow.thread_count == 6
-    monkeypatch.undo()
-    fast = mv.profinite_completion(A)
-    assert fast.canonical_map == slow.canonical_map
-    assert np.array_equal(fast.completion.oplus_table, slow.completion.oplus_table)
 
 
 def test_center_verifications_survive_relabeling():

@@ -39,12 +39,12 @@ def spec_const(n=2):
 
 
 def test_chain_order_laws():
-    assert [mv.chain_order_at(spec_4_5(), x) for x in range(5)] == [2, 3, 4, 5, 6]
-    assert mv.chain_order_at(spec_4_5(), 3) == 5
-    assert [mv.chain_order_at(spec_4_6(), x) for x in range(6)] == [2, 2, 2, 4, 2, 6]
+    assert [spec_4_5().order_at(x) for x in range(5)] == [2, 3, 4, 5, 6]
+    assert spec_4_5().order_at(3) == 5
+    assert [spec_4_6().order_at(x) for x in range(6)] == [2, 2, 2, 4, 2, 6]
     withp = mv.IndexSpec(1, [mv.ConstClass(3)], {5: 7})
-    assert mv.chain_order_at(withp, 5) == 7
-    assert mv.chain_order_at(withp, 4) == 3
+    assert withp.order_at(5) == 7
+    assert withp.order_at(4) == 3
 
 
 def test_index_spec_validation():
