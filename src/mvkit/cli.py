@@ -339,9 +339,17 @@ def cmd_quotient(args, doc):
     }, 0
 
 
+def _cap_window(count, what, args):
+    """Index windows, and finite index sets (listed one entry per index)."""
+    if count is not None and count > args.max_truncation:
+        raise ResourceCapError(count, args.max_truncation, (
+            f"{what} {count} exceeds the --max-truncation cap of {args.max_truncation}"))
+
+
 def cmd_complete(args, doc):
     kind, value = parse_algebra_document(doc, args.max_size)
     if kind == "symbolic":
+        _cap_window(value.limit, "finite index set limit", args)
         report = completion_report(value)
         return {
             "strongly_complete": report.strongly_complete,
@@ -376,15 +384,13 @@ def cmd_decide_sc(args, doc):
 
 def cmd_census(args, doc):
     spec = _require_symbolic(parse_algebra_document(doc, args.max_size), "census")
+    _cap_window(spec.limit, "finite index set limit", args)
     window = args.principal_limit
     if window is None:
         window = args.max_truncation
     else:
         _expect(window >= 0, f"--principal-limit must be >= 0, got {window}")
-        if window > args.max_truncation:
-            raise ResourceCapError(window, args.max_truncation, (
-                f"--principal-limit {window} exceeds the --max-truncation cap "
-                f"of {args.max_truncation}"))
+        _cap_window(window, "--principal-limit", args)
     descriptors = maximal_ideal_census(spec, principal_limit=window)
     principal = [descriptor_json(d) for d in descriptors if d.kind == "principal"]
     free = [descriptor_json(d) for d in descriptors if d.kind == "free_class"]
@@ -485,6 +491,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = {"version": SCHEMA_VERSION, "command": args.command}
     try:
+        for flag, cap in (("--max-size", args.max_size), ("--max-truncation", args.max_truncation)):
+            _expect(cap >= 0, f"{flag} must be >= 0, got {cap}")
         doc = _read_document(args.document)
         payload, code = HANDLERS[args.command](args, doc)
         report["result"] = payload

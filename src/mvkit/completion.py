@@ -29,7 +29,7 @@ from .finite import (
     are_isomorphic,
     center_algebra,
 )
-from .ideals import all_ideals, is_ideal, is_regular, make_ideal, quotient
+from .ideals import ideal_lattice, is_regular, make_ideal, quotient
 
 
 class InverseSystem:
@@ -62,37 +62,30 @@ def build_inverse_system(algebra: FiniteMVAlgebra,
     (`quotient` numbers classes by their least member), so that one equation
     already forces t_ij onto, t_ii = id and t_jm o t_ij = t_im.
 
-    Cost for k ideals over n elements: O(k * n^2) for the quotients, one
-    k x n by n x k boolean product for the subset matrix (O(k^2 * n), within
-    the former), plus O(c * n) for the c comparable pairs.
+    Cost for k ideals over n elements: O(k * n^2) for the quotients, plus
+    O(c * n) for the c comparable pairs; the subset matrix is the lattice's
+    inclusion matrix (O(k^2), see `ideal_lattice`).
     """
-    ideals = all_ideals(algebra, max_size)
-    k = len(ideals)
+    lattice = ideal_lattice(algebra, max_size)
     quotients = []
     projections = []
     reps = []
-    for ideal in ideals:
+    for ideal in lattice.ideals:
         q, proj = quotient(algebra, ideal)
         quotients.append(q)
         projections.append(np.asarray(proj, dtype=np.int32))
         reps.append(np.unique(projections[-1], return_index=True)[1])
 
-    member = np.zeros((k, algebra.size), dtype=bool)
-    for i, ideal in enumerate(ideals):
-        member[i, list(ideal.members)] = True
-    # row i of member @ ~member.T is true where ideals[i] has a member outside ideals[j]
-    subset = ~(member @ ~member.T)
-
     transitions = {}
-    for i, j in zip(*np.nonzero(subset)):
+    for i, j in zip(*np.nonzero(lattice.subset)):
         t = projections[j][reps[i]]
         if (projections[j] != t[projections[i]]).any():
             raise InternalConsistencyError("transition map is not well defined")
         transitions[(int(i), int(j))] = t
 
-    return InverseSystem(algebra, ideals, tuple(quotients),
+    return InverseSystem(algebra, lattice.ideals, tuple(quotients),
                          tuple(tuple(int(c) for c in p) for p in projections),
-                         transitions, subset)
+                         transitions, lattice.subset)
 
 
 @dataclass
@@ -195,24 +188,21 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     k = len(ideals_a)
     center, emb = center_algebra(algebra)
     pos_in_center = {a: c for c, a in enumerate(emb)}
-    center_set = set(emb)
-    ideals_c = all_ideals(center, max_size)
+    lattice_c = ideal_lattice(center, max_size)
 
-    psi = [frozenset(pos_in_center[m] for m in ideal.members if m in center_set)
+    psi = [frozenset(pos_in_center[m] for m in ideal.members if m in pos_in_center)
            for ideal in ideals_a]
-    well_defined = all(is_ideal(center, mem) for mem in psi)
+    # psi lands on center ideals exactly when each image is in the center's list
+    psi_pos = [lattice_c.index.get(mem) for mem in psi]
+    well_defined = None not in psi_pos
     injective = len(set(psi)) == k
-    surjective = set(psi) == {ideal.members for ideal in ideals_c}
-    preserves = all(
-        psi[i] <= psi[j]
-        for i in range(k) for j in range(k)
-        if system.subset[i, j]
-    )
-    reverses = all(
-        system.subset[i, j]
-        for i in range(k) for j in range(k)
-        if psi[i] <= psi[j]
-    )
+    surjective = set(psi) == set(lattice_c.index)
+    preserves = reverses = False
+    if well_defined:
+        # the center's inclusion matrix pulled back along psi, against A's
+        through_psi = lattice_c.subset[np.ix_(psi_pos, psi_pos)]
+        preserves = bool((through_psi | ~system.subset).all())
+        reverses = bool((system.subset | ~through_psi).all())
 
     # per-node data for the induced center isomorphisms
     thetas = [None] * k
@@ -224,7 +214,7 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         center_q, emb_q = center_algebra(quot_ai)
         pos_q = {a: c for c, a in enumerate(emb_q)}
         quot_c, proj_c = quotient(center, make_ideal(center, psi[i]))
-        node.append((quot_c, proj_c, center_q, emb_q, pos_q))
+        node.append((proj_c, np.unique(proj_c, return_index=True)[1], emb_q, pos_q))
 
         theta = [None] * quot_c.size
         ok_i = True
@@ -256,30 +246,20 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         isos_ok = isos_ok and ok_i
 
     squares = isos_ok
-    if isos_ok:
-        for i in range(k):
-            quot_c_i, proj_c_i, _, emb_q_i, _ = node[i]
-            reps_c_i = np.unique(proj_c_i, return_index=True)[1]
-            for j in range(k):
-                if not system.subset[i, j]:
-                    continue
-                quot_c_j, proj_c_j, _, _, pos_q_j = node[j]
-                trans_c = [proj_c_j[int(r)] for r in reps_c_i]
-                trans_a = system.transitions[(i, j)]
-                for u in range(quot_c_i.size):
-                    left = thetas[j][trans_c[u]]
-                    right = pos_q_j.get(int(trans_a[emb_q_i[thetas[i][u]]]))
-                    if right is None or left != right:
-                        squares = False
-                        break
-                if not squares:
-                    break
-            if not squares:
-                break
+    for i, j in zip(*np.nonzero(system.subset)) if isos_ok else ():
+        _, reps_c_i, emb_q_i, _ = node[i]
+        proj_c_j, _, _, pos_q_j = node[j]
+        trans_a = system.transitions[(i, j)]
+        # class u of C/psi_i goes to class proj_c_j[reps_c_i[u]] of C/psi_j
+        squares = all(
+            thetas[j][proj_c_j[r]] == pos_q_j.get(int(trans_a[emb_q_i[thetas[i][u]]]))
+            for u, r in enumerate(reps_c_i))
+        if not squares:
+            break
 
     return CenterCorrespondenceReport(
         ideal_count=k,
-        center_ideal_count=len(ideals_c),
+        center_ideal_count=len(lattice_c.ideals),
         psi_well_defined=well_defined,
         psi_injective=injective,
         psi_surjective=surjective,

@@ -295,14 +295,17 @@ def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
 def boolean_center(algebra: FiniteMVAlgebra):
     """All a with a ^ neg a = 0, and the atoms of that Boolean subalgebra.
 
-    Returns (members, atoms), both as index tuples sorted ascending.
+    a ^ neg a is the lattice-table formula at the n pairs (a, neg a) only,
+    neg(u v w) for u = neg a, w = neg neg a and u v w = neg(neg u (+) w) (+) w,
+    so no n x n table is built.  Returns (members, atoms), both as index
+    tuples sorted ascending.
     """
-    M, N = algebra.meet_table, algebra.neg_table
-    idx = np.arange(algebra.size)
-    mask = M[idx, N[idx]] == algebra.zero
+    O, N = algebra.oplus_table, algebra.neg_table
+    u, w = N, N[N]
+    mask = N[O[N[O[N[u], w]], w]] == algebra.zero
     members = np.flatnonzero(mask)
 
-    sub_op = algebra.oplus_table[np.ix_(members, members)]
+    sub_op = O[np.ix_(members, members)]
     if not (mask[sub_op].all() and mask[N[members]].all()):
         raise InternalConsistencyError("Boolean center is not closed under the operations")
 

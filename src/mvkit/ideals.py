@@ -6,10 +6,10 @@ their distance term lands in the ideal; quotients, the classification of
 ideals (proper / prime / maximal / rank), decomposition of an ideal into the
 maximal ideals above it, and the regularity test all live here.
 
-Enumeration exploits the fact that every ideal of a finite MV-algebra is
-principal (generated by the join of its members), so `all_ideals` runs one
-closure per carrier element instead of scanning all subsets; the subset scan
-survives in the test suite as an independent oracle.
+Every ideal of a finite MV-algebra is the down-set of exactly one Boolean
+(central) element, its join: `ideal_lattice` reads the ideals, their order and
+flags off the center in one cached pass, and the other functions answer from
+it.  The brute-force procedures it replaced are oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, center_algebra, decompose
+from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, boolean_center, center_algebra
 
 
 @dataclass(frozen=True)
@@ -102,73 +102,88 @@ def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
     return Ideal(algebra, frozenset(range(algebra.size)))
 
 
-def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
-    """Least ideal containing `seed`: alternate sum-closure and down-closure."""
-    mask = _member_mask(algebra, seed)
-    mask[algebra.zero] = True
-    O = algebra.oplus_table
-    leq = algebra.leq_matrix
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[O[np.ix_(idx, idx)].ravel()] = True
-        new |= leq[:, idx].any(axis=1)
-        if (new == mask).all():
-            break
-        mask = new
-    return Ideal(algebra, frozenset(int(x) for x in np.flatnonzero(mask)))
+@dataclass(frozen=True, eq=False)
+class IdealLattice:
+    """`ideals[i]` is the down-set of the central element `generators[i]`, in
+    canonical (size, member list) order; `subset[i, j]` says ideals[i] lies
+    in ideals[j]; `index` maps member sets to positions."""
+
+    ideals: tuple
+    generators: np.ndarray
+    subset: np.ndarray
+    index: dict
+    prime: np.ndarray
+    maximal: np.ndarray
 
 
-def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
-    """Every ideal, via one principal closure per carrier element.
+def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealLattice:
+    """Every ideal as the down-set of a central element, in one cached pass.
 
-    Sorted by (size, member list); cached on the algebra.
+    The join g of a finite ideal lies in it, so g (+) g does too and is <= g:
+    g is idempotent (central).  Conversely the down-set of an idempotent is
+    closed under (+); the pass checks every center member idempotent.  The
+    inclusion matrix is the order on the generators; maximal means no other
+    proper ideal above, prime means proper with the ideals above forming a
+    chain (the MV-algebra characterisation).  Cost for k ideals over n
+    elements: O(n^2) for the center and the down-sets, O(k^2) for the rest.
     """
-    cached = algebra._cache.get("ideals")
+    cached = algebra._cache.get("ideal_lattice")
     if cached is not None:
         return cached
     if max_size is not None and algebra.size > max_size:
         raise ResourceCapError(algebra.size, max_size)
-    found = {}
-    for a in range(algebra.size):
-        ideal = generated_ideal(algebra, (a,))
-        found[ideal.members] = ideal
-    ordered = tuple(sorted(found.values(), key=lambda i: (len(i.members), i.sorted_members)))
-    algebra._cache["ideals"] = ordered
-    return ordered
+    center = np.asarray(boolean_center(algebra)[0], dtype=np.int64)
+    if (algebra.oplus_table[center, center] != center).any():
+        raise InternalConsistencyError("a central element is not idempotent")
+    leq = algebra.leq_matrix
+    downs = [np.flatnonzero(leq[:, g]).tolist() for g in center]
+    order = sorted(range(len(center)), key=lambda c: (len(downs[c]), downs[c]))
+    generators = center[order]
+    ideals = tuple(Ideal(algebra, frozenset(downs[c])) for c in order)
+    subset = leq[np.ix_(generators, generators)]
+    proper = generators != algebra.one
+    maximal = proper & ((subset & proper).sum(axis=1) == 1)
+    # the ideals above one are listed by size, so they form a chain exactly
+    # when each lies inside the next
+    chain_above = [subset[up[:-1], up[1:]].all() for up in map(np.flatnonzero, subset)]
+    prime = proper & np.asarray(chain_above, dtype=bool)
+    for shared in (generators, subset, prime, maximal):
+        shared.setflags(write=False)
+    lattice = IdealLattice(ideals, generators, subset,
+                           {ideal.members: i for i, ideal in enumerate(ideals)}, prime, maximal)
+    algebra._cache["ideal_lattice"] = lattice
+    return lattice
 
 
-def _is_prime(algebra, mask) -> bool:
-    # proper, and no two non-members meet inside the ideal
-    if mask.all():
-        return False
-    outside = np.flatnonzero(~mask)
-    meets = algebra.meet_table[np.ix_(outside, outside)]
-    return not mask[meets].any()
+def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
+    """Every ideal, sorted by (size, member list): `ideal_lattice(...).ideals`."""
+    return ideal_lattice(algebra, max_size).ideals
+
+
+def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
+    """Least ideal containing `seed`: of the ideals above it, the first in
+    canonical order, checked to lie in all the others (O(|seed| * k))."""
+    mask = _member_mask(algebra, seed)
+    lattice = ideal_lattice(algebra, None)
+    above = algebra.leq_matrix[np.ix_(np.flatnonzero(mask), lattice.generators)].all(axis=0)
+    least = int(np.argmax(above))
+    if not lattice.subset[least, above].all():
+        raise InternalConsistencyError("no least ideal contains the seed")
+    return lattice.ideals[least]
 
 
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
              max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
-    """Proper/prime/maximal flags, rank of a maximal ideal, and the generator."""
+    """Flags and generator g looked up in the lattice (proper is g != 1); the
+    rank of a maximal ideal is the size of its quotient (O(n^2))."""
     if not is_ideal(algebra, ideal.members):
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    mask = _member_mask(algebra, ideal.members)
-    proper = not mask.all()
-    prime = proper and _is_prime(algebra, mask)
-
-    maximal = False
-    if proper:
-        maximal = not any(
-            other.is_proper and ideal.members < other.members
-            for other in all_ideals(algebra, max_size)
-        )
-
+    lattice = ideal_lattice(algebra, max_size)
+    i = lattice.index[ideal.members]
+    g = int(lattice.generators[i])
+    maximal = bool(lattice.maximal[i])
     rank = quotient(algebra, ideal)[0].size if maximal else None
-
-    generator = algebra.zero
-    for x in ideal.sorted_members:
-        generator = algebra.join(generator, x)
-    return IdealClassification(proper, prime, maximal, rank, int(generator))
+    return IdealClassification(g != algebra.one, bool(lattice.prime[i]), maximal, rank, g)
 
 
 def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
@@ -218,42 +233,35 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
 def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     """The maximal ideals M_1..M_r with intersection equal to a proper ideal.
 
-    Decomposes the quotient into chains and pulls the kernel of each chain
-    projection back through the quotient projection.
+    The maximal ideals are the down-sets of neg a for the center atoms a;
+    those containing the ideal are kept and their intersection is checked
+    to be the ideal.  Cost: O(n^2) for the center plus O(r * n).
     """
     if not is_ideal(algebra, ideal.members):
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     if not ideal.is_proper:
         raise PreconditionError("the improper ideal has no maximal decomposition")
 
-    quot, proj = quotient(algebra, ideal)
-    dec = decompose(quot)
-    proj_arr = np.asarray(proj, dtype=np.int32)
+    leq = algebra.leq_matrix
+    coatoms = algebra.neg_table[list(boolean_center(algebra)[1])]
+    above = coatoms[leq[np.ix_(sorted(ideal.members), coatoms)].all(axis=0)]
+    result = [Ideal(algebra, frozenset(np.flatnonzero(leq[:, c]).tolist())) for c in above]
 
-    result = []
-    for i in range(len(dec.chain_orders)):
-        digits = np.asarray([dec.iso[c][i] for c in range(quot.size)], dtype=np.int32)
-        members = frozenset(int(x) for x in np.flatnonzero(digits[proj_arr] == 0))
-        result.append(Ideal(algebra, members))
-
-    meet_all = frozenset(range(algebra.size))
-    for m in result:
-        meet_all &= m.members
-    if meet_all != ideal.members:
+    if frozenset(range(algebra.size)).intersection(*(m.members for m in result)) != ideal.members:
         raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")
     return tuple(sorted(result, key=lambda i: i.sorted_members))
 
 
 def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
-    """Does every prime ideal of the Boolean center generate a prime ideal?"""
+    """Does every prime ideal of the Boolean center generate a prime ideal?
+    Both primality tests read lattice flags; cost: the two lattice passes."""
     center, emb = center_algebra(algebra)
-    for ideal in all_ideals(center, max_size):
-        cmask = _member_mask(center, ideal.members)
-        if not (not cmask.all() and _is_prime(center, cmask)):
+    center_lattice = ideal_lattice(center, max_size)
+    lattice = ideal_lattice(algebra, None)
+    for ideal, prime in zip(center_lattice.ideals, center_lattice.prime):
+        if not prime:
             continue
-        seed = {emb[m] for m in ideal.members}
-        generated = generated_ideal(algebra, seed)
-        gmask = _member_mask(algebra, generated.members)
-        if gmask.all() or not _is_prime(algebra, gmask):
+        generated = generated_ideal(algebra, {emb[m] for m in ideal.members})
+        if not lattice.prime[lattice.index[generated.members]]:
             return False
     return True

@@ -1,10 +1,12 @@
 """Shared fixtures, generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the implementation's own shortcuts:
-ideal enumeration scans raw subsets, isomorphism testing searches for an
-explicit bijective homomorphism, completion threads are found by a
-backtracking search, and lattice facts are recomputed from the numeric order
-of chain elements.
+ideal enumeration scans raw subsets or closes each element under the sum and
+the order, ideals are classified one at a time (maximality by a scan over all
+ideals, primality by a sweep over meets of non-members) and decomposed
+through a quotient, isomorphism testing searches for an explicit bijective
+homomorphism, completion threads are found by a backtracking search, and
+lattice facts are recomputed from the numeric order of chain elements.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -71,6 +74,69 @@ def ideals_by_subset_scan(algebra):
         if all((mask >> algebra.op(x, y)) & 1 for x in members for y in members):
             found.add(frozenset(members))
     return found
+
+
+def ideal_by_closure(algebra, seed):
+    """Least ideal containing `seed`: alternate sum-closure and down-closure."""
+    mask = np.zeros(algebra.size, dtype=bool)
+    mask[list(seed)] = True
+    mask[algebra.zero] = True
+    O = algebra.oplus_table
+    leq = algebra.leq_matrix
+    while True:
+        idx = np.flatnonzero(mask)
+        new = mask.copy()
+        new[O[np.ix_(idx, idx)].ravel()] = True
+        new |= leq[:, idx].any(axis=1)
+        if (new == mask).all():
+            break
+        mask = new
+    return frozenset(int(x) for x in np.flatnonzero(mask))
+
+
+def ideals_by_closure(algebra):
+    """Every ideal, via one principal closure per carrier element, sorted by
+    (size, member list)."""
+    found = {ideal_by_closure(algebra, (a,)) for a in range(algebra.size)}
+    return sorted(found, key=lambda m: (len(m), sorted(m)))
+
+
+def is_prime_by_meet_sweep(algebra, members):
+    """Proper, and no two non-members meet inside the ideal."""
+    mask = np.zeros(algebra.size, dtype=bool)
+    mask[list(members)] = True
+    if mask.all():
+        return False
+    outside = np.flatnonzero(~mask)
+    meets = algebra.meet_table[np.ix_(outside, outside)]
+    return not mask[meets].any()
+
+
+def classify_by_scan(algebra, members, ideals):
+    """Flags of one ideal: maximality by a scan over `ideals` (every ideal),
+    primality by the meet sweep, the generator as the join of the members."""
+    proper = len(members) < algebra.size
+    prime = proper and is_prime_by_meet_sweep(algebra, members)
+    maximal = proper and not any(
+        len(other) < algebra.size and members < other for other in ideals)
+    rank = mv.quotient(algebra, mv.Ideal(algebra, members))[0].size if maximal else None
+    generator = algebra.zero
+    for x in sorted(members):
+        generator = algebra.join(generator, x)
+    return mv.IdealClassification(proper, prime, maximal, rank, int(generator))
+
+
+def maximal_decomposition_by_quotient(algebra, members):
+    """Decompose the quotient into chains and pull the kernel of each chain
+    projection back through the quotient projection; sorted member sets."""
+    quot, proj = mv.quotient(algebra, mv.Ideal(algebra, members))
+    dec = mv.decompose(quot)
+    proj_arr = np.asarray(proj, dtype=np.int32)
+    result = []
+    for i in range(len(dec.chain_orders)):
+        digits = np.asarray([dec.iso[c][i] for c in range(quot.size)], dtype=np.int32)
+        result.append(frozenset(int(x) for x in np.flatnonzero(digits[proj_arr] == 0)))
+    return sorted(result, key=sorted)
 
 
 def exists_isomorphism(a, b):

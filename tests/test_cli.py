@@ -308,3 +308,25 @@ def test_non_string_labels_exit_3(capsys):
     code, report = invoke(capsys, "verify", doc)
     assert code == 3 and report["error"]["kind"] == "schema"
     assert "labels" in report["error"]["message"]
+
+
+def finite_index_set(limit):
+    return dict(SPEC_CONST_2, index_set={"kind": "finite", "limit": limit})
+
+
+@pytest.mark.parametrize("command", ["census", "complete"])
+def test_finite_index_set_above_truncation_cap_exits_4(capsys, command):
+    code, report = invoke(capsys, command, finite_index_set(200000))
+    assert code == 4 and report["error"]["kind"] == "resource-cap"
+    assert report["error"]["cap"] == 16
+    assert "--max-truncation" in report["error"]["message"]
+
+    code, report = invoke(capsys, command, finite_index_set(16))
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-size", "--max-truncation"])
+def test_negative_cap_exits_3(capsys, flag):
+    code, report = invoke(capsys, "census", data.path("example_4_5"), flag, "-3")
+    assert code == 3 and report["error"]["kind"] == "schema"
+    assert flag in report["error"]["message"]

@@ -1,13 +1,21 @@
 """Ideal generation, enumeration, classification, quotients, decomposition."""
 
 import itertools
+import random
 
 import pytest
 
 import mvkit as mv
 from mvkit.errors import NotAnIdealError, PreconditionError
 
-from conftest import ideals_by_subset_scan
+from conftest import (
+    classify_by_scan,
+    ideal_by_closure,
+    ideals_by_closure,
+    ideals_by_subset_scan,
+    maximal_decomposition_by_quotient,
+    shuffled,
+)
 
 
 def L(n):
@@ -252,3 +260,24 @@ def test_is_regular_examples(family):
     for combo, algebra in family:
         if algebra.size <= 48:
             assert mv.is_regular(algebra)
+
+
+def test_ideal_lattice_matches_oracles(family):
+    rng = random.Random(31)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        lattice = mv.ideals.ideal_lattice(A)
+        expected = ideals_by_closure(A)
+        assert [i.members for i in mv.all_ideals(A)] == expected, combo
+        for i, mi in enumerate(expected):
+            cls = classify_by_scan(A, mi, expected)
+            assert lattice.generators[i] == cls.principal_generator, combo
+            assert mv.classify(A, lattice.ideals[i]) == cls, combo
+            for j, mj in enumerate(expected):
+                assert lattice.subset[i, j] == (mi <= mj), combo
+            if cls.proper:
+                parts = mv.maximal_decomposition(A, lattice.ideals[i])
+                assert [p.members for p in parts] == maximal_decomposition_by_quotient(A, mi), combo
+        for _ in range(8):
+            seed = rng.sample(range(A.size), rng.randint(0, min(3, A.size)))
+            assert mv.generated_ideal(A, seed).members == ideal_by_closure(A, seed), combo
