@@ -11,11 +11,14 @@ axioms, the involution and the two characteristic MV identities
 exhaustively, reporting the first failing axiom together with a witness.
 Algebras produced internally (products, quotients, intervals) are valid by
 construction and are built without re-running the axiom sweep; the test
-suite re-validates representatives of every such construction.
+suite re-validates representatives of every such construction.  A meet with
+a central a is the O(n) column neg(neg x (+) neg a): only the element-level
+`join`/`meet` accessors build the n x n lattice tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,41 +235,29 @@ def chain_algebra(order: int) -> FiniteMVAlgebra:
 
 
 def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
-    """Direct product with componentwise operations; [] gives the trivial algebra."""
+    """Direct product with componentwise operations, last factor fastest; []
+    gives the trivial algebra.  One broadcast pass per factor, O(n^2) in all."""
     factors = list(factors)
     if not factors:
         return trivial_algebra()
-    sizes = [f.size for f in factors]
     total = 1
-    for s in sizes:
-        total *= s
+    for f in factors:
+        total *= f.size
         if max_size is not None and total > max_size:
             raise ResourceCapError(total, max_size)
 
-    strides = np.empty(len(sizes), dtype=np.int64)
-    acc = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
-
-    idx = np.arange(total, dtype=np.int64)
-    digits = [(idx // strides[i]) % sizes[i] for i in range(len(sizes))]
-
-    oplus = np.zeros((total, total), dtype=np.int32)
-    neg = np.zeros(total, dtype=np.int32)
+    oplus = np.zeros((1, 1), dtype=np.int32)
+    neg = np.zeros(1, dtype=np.int32)
     zero = 0
-    for i, f in enumerate(factors):
-        d = digits[i].astype(np.int32)
-        oplus += f.oplus_table[np.ix_(d, d)] * np.int32(strides[i])
-        neg += f.neg_table[d] * np.int32(strides[i])
-        zero += f.zero * int(strides[i])
+    for f in factors:
+        m, s = neg.size, f.size
+        oplus = (oplus[:, None, :, None] * s + f.oplus_table[None, :, None, :]).reshape(m * s, m * s)
+        neg = (neg[:, None] * s + f.neg_table[None, :]).reshape(m * s)
+        zero = zero * s + f.zero
 
     labels = None
     if all(f.labels is not None for f in factors):
-        labels = tuple(
-            "(" + ",".join(factors[i].labels[int(digits[i][e])] for i in range(len(factors))) + ")"
-            for e in range(total)
-        )
+        labels = tuple("(" + ",".join(t) + ")" for t in itertools.product(*(f.labels for f in factors)))
     return FiniteMVAlgebra(total, zero, oplus, neg, labels)
 
 
@@ -336,7 +327,8 @@ def center_algebra(algebra: FiniteMVAlgebra):
 def interval_algebra(algebra: FiniteMVAlgebra, a: int):
     """The relativized algebra on [0, a] for a central element a.
 
-    Operations are x (+)' y = (x (+) y) ^ a and neg' x = (neg x) ^ a.
+    Operations are x (+)' y = (x (+) y) ^ a and neg' x = (neg x) ^ a, where
+    x ^ a = neg(neg x (+) neg a) for central a: one O(n) column, no meet table.
     Returns (interval, embedding) like `center_algebra`.
     """
     center_members, _ = boolean_center(algebra)
@@ -344,12 +336,13 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
         raise NotCentralError(
             f"element {algebra.label(a)} is not in the Boolean center"
         )
+    O, N = algebra.oplus_table, algebra.neg_table
     emb = np.flatnonzero(algebra.leq_matrix[:, a]).astype(np.int32)
     pos = np.full(algebra.size, -1, dtype=np.int32)
     pos[emb] = np.arange(len(emb), dtype=np.int32)
-    M = algebra.meet_table
-    oplus = pos[M[algebra.oplus_table[np.ix_(emb, emb)], a]]
-    neg = pos[M[algebra.neg_table[emb], a]]
+    meet_a = N[O[N, N[a]]]
+    oplus = pos[meet_a[O[np.ix_(emb, emb)]]]
+    neg = pos[meet_a[N[emb]]]
     labels = tuple(algebra.label(int(m)) for m in emb) if algebra.labels else None
     sub = FiniteMVAlgebra(len(emb), int(pos[algebra.zero]), oplus, neg, labels)
     return sub, tuple(int(m) for m in emb)
@@ -384,13 +377,14 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
 
     Computes the atoms of the Boolean center, checks every interval below an
     atom is totally ordered, and verifies pointwise that x -> (x ^ a_i)_i is
-    a bijective homomorphism onto the product of those chains.
+    a bijective homomorphism onto the product of those chains: per atom a,
+    x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2).
     """
     if algebra.size == 1:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     _, atoms = boolean_center(algebra)
     leq = algebra.leq_matrix
-    O, N, M = algebra.oplus_table, algebra.neg_table, algebra.meet_table
+    O, N = algebra.oplus_table, algebra.neg_table
     n = algebra.size
 
     orders = []
@@ -404,7 +398,7 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         ranks = sub.sum(axis=0) - 1
         lookup = np.full(n, -1, dtype=np.int32)
         lookup[members] = ranks.astype(np.int32)
-        digits = lookup[M[:, a]]
+        digits = lookup[N[O[N, N[a]]]]
         order = len(members)
 
         ok = (digits[O] == np.minimum(digits[:, None] + digits[None, :], order - 1)).all()

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the implementation's own shortcuts:
 ideal enumeration scans raw subsets or closes each element under the sum and
 the order, ideals are classified one at a time (maximality by a scan over all
 ideals, primality by a sweep over meets of non-members) and decomposed
-through a quotient, isomorphism testing searches for an explicit bijective
+through a quotient, ideals are checked clause by clause, quotients are built
+from the distance table, products by one strided gather per factor,
+isomorphism testing searches for an explicit bijective
 homomorphism, completion threads are found by a backtracking search, and
 lattice facts are recomputed from the numeric order of chain elements.
 """
@@ -137,6 +139,104 @@ def maximal_decomposition_by_quotient(algebra, members):
         digits = np.asarray([dec.iso[c][i] for c in range(quot.size)], dtype=np.int32)
         result.append(frozenset(int(x) for x in np.flatnonzero(digits[proj_arr] == 0)))
     return sorted(result, key=sorted)
+
+
+def is_ideal_by_clauses(algebra, members):
+    """Contains zero, closed under the sum (|I|^2 sums) and downward closed
+    (every element below a member, an n x |I| scan of the order)."""
+    mask = np.zeros(algebra.size, dtype=bool)
+    for x in members:
+        if not 0 <= x < algebra.size:
+            raise mv.NotAnIdealError(f"element index {x} out of range")
+        mask[x] = True
+    if not mask[algebra.zero]:
+        return False
+    idx = np.flatnonzero(mask)
+    if not mask[algebra.oplus_table[np.ix_(idx, idx)]].all():
+        return False
+    below = algebra.leq_matrix[:, idx].any(axis=1)
+    return bool((below <= mask).all())
+
+
+def quotient_by_distance(algebra, ideal):
+    """Quotient through the distance table: the class of the least unassigned
+    x is every y with d(x, y) in I; classes are numbered by least member and
+    the induced tables and the kernel are checked as in `mv.quotient`."""
+    if not is_ideal_by_clauses(algebra, ideal.members):
+        raise mv.NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    n = algebra.size
+    mask = np.zeros(n, dtype=bool)
+    mask[list(ideal.members)] = True
+    related = mask[algebra.distance_table]
+
+    class_of = np.full(n, -1, dtype=np.int32)
+    reps = []
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        cls = np.flatnonzero(related[x])
+        if (class_of[cls] >= 0).any():
+            raise mv.InternalConsistencyError("congruence classes overlap")
+        class_of[cls] = len(reps)
+        reps.append(x)
+    reps = np.asarray(reps, dtype=np.int32)
+
+    q_op = class_of[algebra.oplus_table[np.ix_(reps, reps)]]
+    q_neg = class_of[algebra.neg_table[reps]]
+    if (class_of[algebra.oplus_table] != q_op[class_of[:, None], class_of[None, :]]).any():
+        raise mv.InternalConsistencyError("induced sum is not well defined")
+    if (class_of[algebra.neg_table] != q_neg[class_of]).any():
+        raise mv.InternalConsistencyError("induced negation is not well defined")
+
+    kernel = frozenset(int(x) for x in np.flatnonzero(class_of == class_of[algebra.zero]))
+    if kernel != ideal.members:
+        raise mv.InternalConsistencyError("projection kernel differs from the ideal")
+
+    labels = None
+    if algebra.labels is not None:
+        labels = tuple(f"[{algebra.label(int(r))}]" for r in reps)
+    result = mv.FiniteMVAlgebra(len(reps), int(class_of[algebra.zero]), q_op, q_neg, labels)
+    return result, tuple(int(c) for c in class_of)
+
+
+def product_by_gather(factors, max_size=mv.DEFAULT_MAX_SIZE):
+    """Direct product by mixed-radix digits: one strided n x n gather of each
+    factor's table, scaled by its stride and summed."""
+    factors = list(factors)
+    if not factors:
+        return mv.trivial_algebra()
+    sizes = [f.size for f in factors]
+    total = 1
+    for s in sizes:
+        total *= s
+        if max_size is not None and total > max_size:
+            raise mv.ResourceCapError(total, max_size)
+
+    strides = np.empty(len(sizes), dtype=np.int64)
+    acc = 1
+    for i in range(len(sizes) - 1, -1, -1):
+        strides[i] = acc
+        acc *= sizes[i]
+
+    idx = np.arange(total, dtype=np.int64)
+    digits = [(idx // strides[i]) % sizes[i] for i in range(len(sizes))]
+
+    oplus = np.zeros((total, total), dtype=np.int32)
+    neg = np.zeros(total, dtype=np.int32)
+    zero = 0
+    for i, f in enumerate(factors):
+        d = digits[i].astype(np.int32)
+        oplus += f.oplus_table[np.ix_(d, d)] * np.int32(strides[i])
+        neg += f.neg_table[d] * np.int32(strides[i])
+        zero += f.zero * int(strides[i])
+
+    labels = None
+    if all(f.labels is not None for f in factors):
+        labels = tuple(
+            "(" + ",".join(factors[i].labels[int(digits[i][e])] for i in range(len(factors))) + ")"
+            for e in range(total)
+        )
+    return mv.FiniteMVAlgebra(total, zero, oplus, neg, labels)
 
 
 def exists_isomorphism(a, b):

@@ -14,7 +14,7 @@ from mvkit.errors import (
     SchemaError,
 )
 
-from conftest import build_family, exists_isomorphism, shuffled
+from conftest import build_family, exists_isomorphism, product_by_gather, shuffled
 
 MAX_OPLUS_DOC = dict(
     size=3, zero=0,
@@ -271,3 +271,36 @@ def test_derived_order_is_a_distributive_lattice():
                         assert leq[j, z]
                     if leq[z, x] and leq[z, y]:
                         assert leq[z, m]
+
+
+def test_product_matches_gather_oracle():
+    rng = random.Random(61)
+    L2, L3 = mv.chain_algebra(2), mv.chain_algebra(3)
+    two_by_three = mv.product([L2, L3])
+    pool = [L2, L3, mv.chain_algebra(4), mv.chain_algebra(5), two_by_three,
+            mv.relabel(two_by_three, [5, 3, 1, 0, 2, 4]), mv.trivial_algebra(),
+            mv.FiniteMVAlgebra(3, 0, L3.oplus_table, L3.neg_table)]   # no labels
+    for _ in range(150):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        cap = rng.choice((None, mv.DEFAULT_MAX_SIZE, 40, 12))
+        try:
+            want = product_by_gather(factors, max_size=cap)
+        except ResourceCapError as exc:
+            with pytest.raises(ResourceCapError) as got:
+                mv.product(factors, max_size=cap)
+            assert (got.value.needed, got.value.cap, str(got.value)) == (exc.needed, exc.cap, str(exc))
+            continue
+        got = mv.product(factors, max_size=cap)
+        assert (got.size, got.zero, got.labels) == (want.size, want.zero, want.labels)
+        assert got.oplus_table.dtype == want.oplus_table.dtype
+        assert (got.oplus_table == want.oplus_table).all()
+        assert (got.neg_table == want.neg_table).all()
+
+
+def test_decompose_and_intervals_build_no_lattice_tables(family):
+    for combo, algebra in family:
+        A = mv.relabel(algebra, list(range(algebra.size)))      # fresh cache
+        mv.decompose(A)
+        for a in mv.boolean_center(A)[0]:
+            mv.interval_algebra(A, a)
+        assert "join" not in A._cache and "meet" not in A._cache, combo

@@ -13,7 +13,9 @@ from conftest import (
     ideal_by_closure,
     ideals_by_closure,
     ideals_by_subset_scan,
+    is_ideal_by_clauses,
     maximal_decomposition_by_quotient,
+    quotient_by_distance,
     shuffled,
 )
 
@@ -281,3 +283,40 @@ def test_ideal_lattice_matches_oracles(family):
         for _ in range(8):
             seed = rng.sample(range(A.size), rng.randint(0, min(3, A.size)))
             assert mv.generated_ideal(A, seed).members == ideal_by_closure(A, seed), combo
+
+
+def test_quotient_matches_distance_oracle(family):
+    rng = random.Random(47)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        for ideal in mv.all_ideals(A):
+            quot, proj = mv.quotient(A, ideal)
+            want, want_proj = quotient_by_distance(A, ideal)
+            assert proj == want_proj, (combo, ideal)
+            assert (quot.size, quot.zero, quot.labels) == (want.size, want.zero, want.labels), combo
+            assert (quot.oplus_table == want.oplus_table).all(), (combo, ideal)
+            assert (quot.neg_table == want.neg_table).all(), (combo, ideal)
+
+
+def test_is_ideal_matches_clause_oracle(family):
+    rng = random.Random(53)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        ideals = mv.all_ideals(A)
+        cases = [rng.sample(range(A.size), rng.randint(0, A.size)) for _ in range(20)]
+        for ideal in ideals:
+            x = rng.randrange(A.size)
+            cases.append(sorted(ideal.members ^ {x}))           # one element more or less
+            cases.append(sorted(ideal.members - {A.zero}))      # without zero
+        for members in cases:
+            assert mv.is_ideal(A, members) == is_ideal_by_clauses(A, members), (combo, members)
+        assert all(mv.is_ideal(A, ideal.members) for ideal in ideals)
+
+
+def test_quotient_at_cap_builds_no_distance_table():
+    A = mv.product([L(2)] * 12)
+    assert A.size == 4096
+    first_digit_zero = mv.Ideal(A, frozenset(range(2048)))    # a maximal ideal
+    quot, proj = mv.quotient(A, first_digit_zero)
+    assert quot.size == 2 and proj == tuple(x // 2048 for x in range(4096))
+    assert "dist" not in A._cache
