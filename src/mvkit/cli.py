@@ -117,8 +117,8 @@ def parse_index_spec(doc) -> IndexSpec:
 def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
     """Returns ("finite", FiniteMVAlgebra) or ("symbolic", IndexSpec).
 
-    Finite presentations are fully validated: tables go through the axiom
-    sweep, products are built from verified chains.
+    Finite presentations are fully validated: tables go through
+    `from_tables`, products are built from verified chains.
     """
     _expect(isinstance(doc, dict), "algebra document must be a JSON object")
     kind = doc.get("type")
@@ -281,9 +281,9 @@ def cmd_verify(args, doc):
         payload = {"valid": False, "axiom": exc.axiom, "witness": list(exc.witness)}
         return payload, 2
     if doc.get("type") == "product":
-        # re-run the axiom sweep on the assembled tables
-        size, zero, oplus, neg = as_tables(algebra)
-        from_tables(size, zero, oplus, neg, max_size=args.max_size)
+        # re-validate the assembled tables
+        from_tables(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table,
+                    max_size=args.max_size)
     return {"valid": True, "size": algebra.size}, 0
 
 

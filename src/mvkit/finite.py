@@ -6,11 +6,14 @@ arrays (all values are exact carrier indices, no floats).  The derived
 order, lattice tables and the distance term are computed lazily from the
 defining formulas and cached per algebra.
 
-`from_tables` is the validating constructor: it verifies the Abelian-monoid
-axioms, the involution and the two characteristic MV identities
-exhaustively, reporting the first failing axiom together with a witness.
+`from_tables` is the validating constructor.  On valid tables it costs
+O(k*n^2) for k center atoms: the quadratic axiom checks, then the chain
+decomposition as a certificate (a finite MV-algebra is a product of
+Lukasiewicz chains, and a bijective homomorphism onto such a product proves
+every axiom).  The O(n^3) associativity sweep runs only on rejected tables,
+to report the first failing axiom together with a witness.
 Algebras produced internally (products, quotients, intervals) are valid by
-construction and are built without re-running the axiom sweep; the test
+construction and are built without re-validation; the test
 suite re-validates representatives of every such construction.  A meet with
 a central a is the O(n) column neg(neg x (+) neg a): only the element-level
 `join`/`meet` accessors build the n x n lattice tables.
@@ -166,7 +169,16 @@ def as_tables(algebra: FiniteMVAlgebra):
 
 def from_tables(size, zero, oplus_table, neg_table, labels=None,
                 max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
-    """Build an algebra from raw tables, verifying every axiom exhaustively.
+    """Build an algebra from raw tables, verifying every axiom.
+
+    Commutativity and the identity are checked directly; once the
+    involution, mv1 and mv2 checks also hold, a successful `decompose` is
+    the certificate: a bijective (+, neg, 0)-homomorphism onto a product of
+    Lukasiewicz chains carries every axiom over, in O(k*n^2) for k center
+    atoms (its result is cached on the algebra).  Only tables that fail a
+    check or the certificate meet the O(n^3) associativity sweep, which
+    reports the first failing axiom in the order associative, involution,
+    mv1, mv2.
 
     Raises MVAxiomError naming the first failed axiom and a witness tuple;
     structural problems raise SchemaError, oversize carriers ResourceCapError.
@@ -174,7 +186,7 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     if max_size is not None and size > max_size:
         raise ResourceCapError(size, max_size)
     alg = FiniteMVAlgebra(size, zero, oplus_table, neg_table, labels)
-    O, N = alg.oplus_table, alg.neg_table
+    O = alg.oplus_table
     n = alg.size
 
     bad = np.argwhere(O != O.T)
@@ -186,6 +198,16 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     if len(bad):
         raise MVAxiomError("identity", (int(bad[0]),))
 
+    mv_failure = _mv_failure(alg)
+    if mv_failure is None:
+        if n == 1:
+            return alg
+        try:
+            decompose(alg)
+            return alg
+        except (DecompositionError, InternalConsistencyError):
+            alg._cache.clear()
+
     for z in range(n):
         col = O[:, z]
         left = col[O]        # (x (+) y) (+) z
@@ -194,15 +216,24 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
         if len(bad):
             x, y = map(int, bad[0])
             raise MVAxiomError("associative", (x, y, z))
+    if mv_failure is not None:
+        raise MVAxiomError(*mv_failure)
+    raise InternalConsistencyError("tables satisfy every axiom but have no chain decomposition")
 
+
+def _mv_failure(alg):
+    """The first failure of the involution, mv1 and mv2 checks as
+    (axiom, witness), else None.  O(n^2)."""
+    O, N = alg.oplus_table, alg.neg_table
+    n = alg.size
     bad = np.flatnonzero(N[N] != np.arange(n))
     if len(bad):
-        raise MVAxiomError("involution", (int(bad[0]),))
+        return "involution", (int(bad[0]),)
 
     one = alg.one
     bad = np.flatnonzero(O[one] != one)
     if len(bad):
-        raise MVAxiomError("mv1", (int(bad[0]),))
+        return "mv1", (int(bad[0]),)
 
     # neg(neg x (+) y) (+) y is symmetric in (x, y) exactly when the second
     # MV identity holds, so the check is a transpose comparison.
@@ -210,9 +241,8 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     bad = np.argwhere(L != L.T)
     if len(bad):
         x, y = map(int, bad[0])
-        raise MVAxiomError("mv2", (x, y))
-
-    return alg
+        return "mv2", (x, y)
+    return None
 
 
 # -- basic constructions ---------------------------------------------------
@@ -379,7 +409,13 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     atom is totally ordered, and verifies pointwise that x -> (x ^ a_i)_i is
     a bijective homomorphism onto the product of those chains: per atom a,
     x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2).
+    The negation check confines each digit to 0..order-1, so success proves
+    the tables an MV-algebra.  The result is cached on the algebra without a
+    reference back to it (no cycle); each call wraps it in a new Decomposition.
     """
+    cert = algebra._cache.get("decomposition")
+    if cert is not None:
+        return Decomposition(algebra, *cert)
     if algebra.size == 1:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     _, atoms = boolean_center(algebra)
@@ -417,13 +453,9 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         raise DecompositionError("not a product of chains: coordinate map is not bijective")
 
     iso = tuple(tuple(t) for t in tuples)
-    return Decomposition(
-        algebra=algebra,
-        atoms=tuple(atoms),
-        chain_orders=tuple(orders),
-        iso=iso,
-        iso_inverse={t: x for x, t in enumerate(iso)},
-    )
+    cert = algebra._cache["decomposition"] = (
+        tuple(atoms), tuple(orders), iso, {t: x for x, t in enumerate(iso)})
+    return Decomposition(algebra, *cert)
 
 
 def are_isomorphic(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> bool:

@@ -5,7 +5,8 @@ ideal enumeration scans raw subsets or closes each element under the sum and
 the order, ideals are classified one at a time (maximality by a scan over all
 ideals, primality by a sweep over meets of non-members) and decomposed
 through a quotient, ideals are checked clause by clause, quotients are built
-from the distance table, products by one strided gather per factor,
+from the distance table, products by one strided gather per factor, table
+axioms by the exhaustive sweep (associativity by a loop over z),
 isomorphism testing searches for an explicit bijective
 homomorphism, completion threads are found by a backtracking search, and
 lattice facts are recomputed from the numeric order of chain elements.
@@ -237,6 +238,40 @@ def product_by_gather(factors, max_size=mv.DEFAULT_MAX_SIZE):
             for e in range(total)
         )
     return mv.FiniteMVAlgebra(total, zero, oplus, neg, labels)
+
+
+SWEEP_ORDER = ("commutative", "identity", "associative", "involution", "mv1", "mv2")
+
+
+def axiom_failure_by_sweep(size, zero, oplus, neg, axioms=SWEEP_ORDER):
+    """The first of `axioms` the tables break, as (axiom, witness), else None:
+    the exhaustive sweep, with associativity checked by a loop over z."""
+    O = np.asarray(oplus, dtype=np.int32)
+    N = np.asarray(neg, dtype=np.int32)
+    n = size
+    one = int(N[zero])
+    for axiom in axioms:
+        if axiom == "commutative":
+            bad = np.argwhere(O != O.T)
+        elif axiom == "identity":
+            bad = np.flatnonzero(O[zero] != np.arange(n))
+        elif axiom == "associative":
+            for z in range(n):
+                col = O[:, z]
+                bad = np.argwhere(col[O] != O[:, col])
+                if len(bad):
+                    return axiom, (*map(int, bad[0]), z)
+            continue
+        elif axiom == "involution":
+            bad = np.flatnonzero(N[N] != np.arange(n))
+        elif axiom == "mv1":
+            bad = np.flatnonzero(O[one] != one)
+        else:
+            L = O[N[O[N]], np.arange(n)[None, :]]
+            bad = np.argwhere(L != L.T)
+        if len(bad):
+            return axiom, tuple(map(int, np.atleast_1d(bad[0])))
+    return None
 
 
 def exists_isomorphism(a, b):

@@ -40,6 +40,12 @@ def test_verify_valid(capsys):
     assert report["version"] == "1" and report["command"] == "verify"
 
 
+def test_verify_product_at_cap(capsys):
+    code, report = invoke(capsys, "verify", {"type": "product", "orders": [2] * 12})
+    assert code == 0
+    assert report["result"] == {"valid": True, "size": 4096}
+
+
 def test_verify_invalid_reports_axiom_and_witness(capsys):
     code, report = invoke(capsys, "verify", MAX_OPLUS)
     assert code == 2

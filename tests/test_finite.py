@@ -1,6 +1,8 @@
 """Table-level algebras: validation, products, center, intervals, decomposition."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -8,13 +10,29 @@ import pytest
 import mvkit as mv
 from mvkit.errors import (
     DecompositionError,
+    InternalConsistencyError,
     MVAxiomError,
     NotCentralError,
     ResourceCapError,
     SchemaError,
 )
 
-from conftest import build_family, exists_isomorphism, product_by_gather, shuffled
+from conftest import (
+    SWEEP_ORDER,
+    axiom_failure_by_sweep,
+    build_family,
+    exists_isomorphism,
+    product_by_gather,
+    shuffled,
+)
+
+# commutative, with identity 0, an involution, mv1 and mv2, but
+# (2 (+) 1) (+) 1 = 0 (+) 1 = 1 while 2 (+) (1 (+) 1) = 2 (+) 3 = 3
+NON_ASSOCIATIVE = dict(
+    size=4, zero=0,
+    oplus_table=[[0, 1, 2, 3], [1, 3, 0, 3], [2, 0, 3, 3], [3, 3, 3, 3]],
+    neg_table=[3, 1, 2, 0],
+)
 
 MAX_OPLUS_DOC = dict(
     size=3, zero=0,
@@ -91,6 +109,15 @@ def test_each_axiom_detected():
         # identity negation is an involution but breaks neg 0 (+) x = neg 0
         mv.from_tables(3, 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]], [0, 1, 2])
     assert info.value.axiom == "mv1"
+    # only associativity fails, so validation falls back to the sweep
+    others = tuple(a for a in SWEEP_ORDER if a != "associative")
+    assert axiom_failure_by_sweep(*NON_ASSOCIATIVE.values(), axioms=others) is None
+    with pytest.raises(MVAxiomError) as info:
+        mv.from_tables(**NON_ASSOCIATIVE)
+    assert (info.value.axiom, info.value.witness) == ("associative", (2, 1, 1))
+    O = NON_ASSOCIATIVE["oplus_table"]
+    x, y, z = info.value.witness
+    assert O[O[x][y]][z] != O[x][O[y][z]]
 
 
 def test_from_tables_respects_cap():
@@ -304,3 +331,92 @@ def test_decompose_and_intervals_build_no_lattice_tables(family):
         for a in mv.boolean_center(A)[0]:
             mv.interval_algebra(A, a)
         assert "join" not in A._cache and "meet" not in A._cache, combo
+
+
+def certificate(dec):
+    return dec.atoms, dec.chain_orders, dec.iso, dec.iso_inverse
+
+
+def test_certified_validation_matches_sweep_oracle(family):
+    """Valid tables are accepted with their decomposition cached; single-entry
+    corruptions report exactly the exhaustive sweep's axiom and witness."""
+    rng = random.Random(20261018)
+    for combo, algebra in family:
+        twisted = shuffled(algebra, rng)
+        n, zero = twisted.size, twisted.zero
+        oplus, neg = np.array(twisted.oplus_table), np.array(twisted.neg_table)
+        accepted = mv.from_tables(n, zero, oplus, neg)
+        assert "decomposition" in accepted._cache, combo
+        fresh = mv.FiniteMVAlgebra(n, zero, oplus, neg)
+        assert certificate(mv.decompose(accepted)) == certificate(mv.decompose(fresh)), combo
+        assert mv.decompose(accepted).iso is mv.decompose(accepted).iso
+
+        for kind in ("symmetric", "asymmetric", "neg"):
+            for _ in range(2):
+                bad_oplus, bad_neg = oplus.copy(), neg.copy()
+                x, y = rng.randrange(n), rng.randrange(n)
+                if kind == "neg":
+                    bad_neg[x] = rng.choice([w for w in range(n) if w != neg[x]])
+                else:
+                    w = rng.choice([w for w in range(n) if w != oplus[x, y]])
+                    bad_oplus[x, y] = w
+                    if kind == "symmetric":
+                        bad_oplus[y, x] = w
+                want = axiom_failure_by_sweep(n, zero, bad_oplus, bad_neg)
+                if want is None:
+                    mv.from_tables(n, zero, bad_oplus, bad_neg)
+                    continue
+                with pytest.raises(MVAxiomError) as info:
+                    mv.from_tables(n, zero, bad_oplus, bad_neg)
+                assert (info.value.axiom, info.value.witness) == want, (combo, kind)
+
+
+def test_non_associative_tables_take_the_sweep():
+    others = tuple(a for a in SWEEP_ORDER if a != "associative")
+    # (0,1) (+) (0,1) := (0,1/2) in L2 x L3 breaks only associativity too, and
+    # leaves the Boolean center unclosed: the certificate fails by
+    # InternalConsistencyError, and the sweep still names the axiom
+    L2L3 = mv.product([mv.chain_algebra(2), mv.chain_algebra(3)])
+    oplus, neg = np.array(L2L3.oplus_table), L2L3.neg_table
+    oplus[2, 2] = 1
+    with pytest.raises(InternalConsistencyError):
+        mv.boolean_center(mv.FiniteMVAlgebra(6, L2L3.zero, oplus, neg))
+    assert axiom_failure_by_sweep(6, L2L3.zero, oplus, neg, axioms=others) is None
+    with pytest.raises(MVAxiomError) as info:
+        mv.from_tables(6, L2L3.zero, oplus, neg)
+    assert (info.value.axiom, info.value.witness) == ("associative", (2, 1, 1))
+
+    # product does not validate, so it builds a larger non-associative table
+    pseudo = mv.FiniteMVAlgebra(**NON_ASSOCIATIVE)
+    rng = random.Random(12)
+    for _ in range(5):
+        twisted = shuffled(mv.product([pseudo, mv.chain_algebra(3)]), rng)
+        tables = (twisted.size, twisted.zero, twisted.oplus_table, twisted.neg_table)
+        want = axiom_failure_by_sweep(*tables)
+        assert want[0] == "associative"
+        with pytest.raises(MVAxiomError) as info:
+            mv.from_tables(*tables)
+        assert (info.value.axiom, info.value.witness) == want
+
+
+def test_failed_certificate_on_valid_tables_is_internal_error(monkeypatch):
+    def refuse(algebra):
+        raise DecompositionError("refused")
+
+    valid = mv.product([mv.chain_algebra(3), mv.chain_algebra(2)])
+    monkeypatch.setattr(mv.finite, "decompose", refuse)
+    with pytest.raises(InternalConsistencyError):
+        mv.from_tables(*mv.as_tables(valid))
+
+
+def test_validated_algebra_is_freed_without_the_cycle_collector():
+    source = mv.product([mv.chain_algebra(4), mv.chain_algebra(3)])
+    gc.disable()
+    try:
+        alg = mv.from_tables(*mv.as_tables(source))
+        mv.decompose(alg)
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
