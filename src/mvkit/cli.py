@@ -17,6 +17,7 @@ precondition, 3 schema error, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -64,6 +65,11 @@ SCHEMA_VERSION = "1"
 def _expect(cond, message):
     if not cond:
         raise SchemaError(message)
+
+
+def _all_ints(values) -> bool:
+    """Every value is an int and not a bool; the types are gathered at C speed."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 def _int_field(doc, key):
@@ -129,10 +135,8 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
         neg = doc.get("neg")
         _expect(isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
                 "field 'oplus' must be a list of rows")
-        _expect(all(isinstance(v, int) and not isinstance(v, bool) for r in oplus for v in r),
-                "field 'oplus' must contain integers")
-        _expect(isinstance(neg, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in neg),
-                "field 'neg' must be a list of integers")
+        _expect(_all_ints(itertools.chain.from_iterable(oplus)), "field 'oplus' must contain integers")
+        _expect(isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
         _expect(len(oplus) == size and all(len(r) == size for r in oplus),
                 f"field 'oplus' must be a {size}x{size} matrix")
         _expect(len(neg) == size, f"field 'neg' must have {size} entries")
@@ -327,8 +331,7 @@ def cmd_quotient(args, doc):
         members = json.loads(args.ideal)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"--ideal must be a JSON list of element indices: {exc}") from exc
-    _expect(isinstance(members, list) and
-            all(isinstance(v, int) and not isinstance(v, bool) for v in members),
+    _expect(isinstance(members, list) and _all_ints(members),
             "--ideal must be a JSON list of element indices")
     ideal = make_ideal(algebra, members)
     quot, projection = quotient(algebra, ideal)
@@ -435,8 +438,16 @@ HANDLERS = {
 # -- argument parsing and dispatch ------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a schema error instead of exiting 2,
+    which the exit-code contract keeps for domain-level negatives."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mvkit",
         description="Exact computation with finite and symbolically presented MV-algebras.")
     common = argparse.ArgumentParser(add_help=False)
@@ -488,7 +499,14 @@ def _emit(report, out_path):
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SchemaError as exc:
+        report = {"version": SCHEMA_VERSION, "command": argv[0] if argv else None,
+                  "error": {"kind": "schema", "message": str(exc)}}
+        _emit(report, None)
+        return 3
     report = {"version": SCHEMA_VERSION, "command": args.command}
     try:
         for flag, cap in (("--max-size", args.max_size), ("--max-truncation", args.max_truncation)):

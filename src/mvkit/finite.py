@@ -17,13 +17,22 @@ construction and are built without re-validation; the test
 suite re-validates representatives of every such construction.  A meet with
 a central a is the O(n) column neg(neg x (+) neg a): only the element-level
 `join`/`meet` accessors build the n x n lattice tables.
+
+The chain-product certificate (`Certificate`: the center atoms, their chain
+orders and the n x k digit array) is cached on the algebra under
+"decomposition".  `from_tables` verifies it through `decompose`;
+`chain_algebra`, `product` (from its factors' certificates) and
+`center_algebra` attach it by construction in O(n*k), so the ideal layer
+reads quotients and maximal ideals off the digits without recomputing it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -254,19 +263,33 @@ def trivial_algebra() -> FiniteMVAlgebra:
 
 
 def chain_algebra(order: int) -> FiniteMVAlgebra:
-    """The Lukasiewicz chain with `order` elements as an operation table."""
+    """The Lukasiewicz chain with `order` elements as an operation table.
+
+    Its certificate is attached: the one atom is the top, order - 1, and the
+    digit of x is x itself.
+    """
     if order < 2:
         raise ValueError(f"chain order must be >= 2, got {order}")
     idx = np.arange(order, dtype=np.int32)
     oplus = np.minimum(idx[:, None] + idx[None, :], order - 1)
     neg = (order - 1) - idx
     labels = tuple(str(Fraction(k, order - 1)) for k in range(order))
-    return FiniteMVAlgebra(order, 0, oplus, neg, labels)
+    chain = FiniteMVAlgebra(order, 0, oplus, neg, labels)
+    chain._cache["decomposition"] = Certificate((order - 1,), (order,), _frozen(idx[:, None].copy()))
+    return chain
 
 
 def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Direct product with componentwise operations, last factor fastest; []
-    gives the trivial algebra.  One broadcast pass per factor, O(n^2) in all."""
+    gives the trivial algebra.
+
+    The factors are folded in from the last, the accumulated table being the
+    inner (contiguous) broadcast operand: one pass per factor, O(n^2) in all.
+    When every nontrivial factor carries a certificate, so does the product,
+    in O(n*k): an element's digits are its factors' digits, and each factor's
+    atoms sit with the other coordinates at their zero, sorted ascending
+    (the certificate `decompose` would find).
+    """
     factors = list(factors)
     if not factors:
         return trivial_algebra()
@@ -279,16 +302,39 @@ def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     oplus = np.zeros((1, 1), dtype=np.int32)
     neg = np.zeros(1, dtype=np.int32)
     zero = 0
-    for f in factors:
-        m, s = neg.size, f.size
-        oplus = (oplus[:, None, :, None] * s + f.oplus_table[None, :, None, :]).reshape(m * s, m * s)
-        neg = (neg[:, None] * s + f.neg_table[None, :]).reshape(m * s)
-        zero = zero * s + f.zero
+    for f in reversed(factors):
+        s, m = f.size, neg.size
+        oplus = (f.oplus_table[:, None, :, None] * m + oplus[None, :, None, :]).reshape(s * m, s * m)
+        neg = (f.neg_table[:, None] * m + neg[None, :]).reshape(s * m)
+        zero = f.zero * m + zero
 
     labels = None
     if all(f.labels is not None for f in factors):
         labels = tuple("(" + ",".join(t) + ")" for t in itertools.product(*(f.labels for f in factors)))
-    return FiniteMVAlgebra(total, zero, oplus, neg, labels)
+    result = FiniteMVAlgebra(total, zero, oplus, neg, labels)
+    certs = [f._cache.get("decomposition") for f in factors if f.size > 1]
+    if certs and None not in certs:
+        result._cache["decomposition"] = _product_certificate(factors, total, zero)
+    return result
+
+
+def _product_certificate(factors, total, zero):
+    """The composed certificate of `product(factors)`, of size `total` with
+    zero index `zero`."""
+    atoms, orders, columns = [], [], []
+    elements = np.arange(total)
+    stride = 1
+    for f in reversed(factors):
+        if f.size > 1:
+            cert = f._cache["decomposition"]
+            atoms += [zero + (a - f.zero) * stride for a in cert.atoms]
+            orders += cert.chain_orders
+            columns.append(cert.digits[elements // stride % f.size])
+        stride *= f.size
+    order = np.argsort(atoms)
+    digits = np.concatenate(columns, axis=1)[:, order]
+    return Certificate(tuple(atoms[i] for i in order), tuple(orders[i] for i in order),
+                       _frozen(digits))
 
 
 def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
@@ -341,7 +387,9 @@ def center_algebra(algebra: FiniteMVAlgebra):
     """The Boolean center as an algebra of its own, plus the embedding.
 
     Returns (center, embedding) with embedding[i] = carrier index in the
-    ambient algebra of the center's element i.
+    ambient algebra of the center's element i.  When the algebra carries a
+    certificate, the center gets one too: the same atoms, each of order 2,
+    and the digit 1 wherever the ambient digit is nonzero (O(|B|*k)).
     """
     members, _ = boolean_center(algebra)
     emb = np.asarray(members, dtype=np.int32)
@@ -351,6 +399,11 @@ def center_algebra(algebra: FiniteMVAlgebra):
     neg = pos[algebra.neg_table[emb]]
     labels = tuple(algebra.label(int(m)) for m in members) if algebra.labels else None
     sub = FiniteMVAlgebra(len(members), int(pos[algebra.zero]), oplus, neg, labels)
+    cert = algebra._cache.get("decomposition")
+    if cert is not None:
+        sub._cache["decomposition"] = Certificate(
+            tuple(int(pos[a]) for a in cert.atoms), (2,) * len(cert.atoms),
+            _frozen((cert.digits[emb] != 0).astype(np.int32)))
     return sub, tuple(int(m) for m in members)
 
 
@@ -381,6 +434,30 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
 # -- decomposition into chains ---------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """The chain-product certificate of one algebra, kept in its cache.
+
+    `digits[x, i]` is the position of x ^ atoms[i] in the chain [0, atoms[i]]
+    of `chain_orders[i]` elements (a read-only n x k array); x -> digits[x]
+    is an isomorphism onto the product of those chains.  `iso` and
+    `iso_inverse` are derived from the digits on first use.  It holds no
+    reference to the algebra, so caching it makes no cycle.
+    """
+
+    atoms: tuple
+    chain_orders: tuple
+    digits: np.ndarray
+
+    @cached_property
+    def iso(self) -> tuple:
+        return tuple(map(tuple, self.digits.tolist()))
+
+    @cached_property
+    def iso_inverse(self) -> dict:
+        return {t: x for x, t in enumerate(self.iso)}
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A verified isomorphism onto a product of Lukasiewicz chains.
@@ -402,20 +479,31 @@ class Decomposition:
         return tuple(sorted(self.chain_orders))
 
 
+def certificate(algebra: FiniteMVAlgebra) -> Certificate:
+    """The algebra's cached certificate, found by `decompose` when missing."""
+    cert = algebra._cache.get("decomposition")
+    if cert is None:
+        decompose(algebra)
+        cert = algebra._cache["decomposition"]
+    return cert
+
+
 def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     """Split a nontrivial finite MV-algebra into its chain factors.
 
-    Computes the atoms of the Boolean center, checks every interval below an
+    A certificate already attached (by `chain_algebra`, `product`,
+    `center_algebra` or an earlier call) is read back.  Otherwise this
+    computes the atoms of the Boolean center, checks every interval below an
     atom is totally ordered, and verifies pointwise that x -> (x ^ a_i)_i is
     a bijective homomorphism onto the product of those chains: per atom a,
-    x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2).
-    The negation check confines each digit to 0..order-1, so success proves
-    the tables an MV-algebra.  The result is cached on the algebra without a
-    reference back to it (no cycle); each call wraps it in a new Decomposition.
+    x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2),
+    O(k*n^2) in all.  The negation check confines each digit to
+    0..order-1, so success proves the tables an MV-algebra.  The certificate
+    is cached on the algebra; each call wraps it in a new Decomposition.
     """
     cert = algebra._cache.get("decomposition")
     if cert is not None:
-        return Decomposition(algebra, *cert)
+        return Decomposition(algebra, cert.atoms, cert.chain_orders, cert.iso, cert.iso_inverse)
     if algebra.size == 1:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     _, atoms = boolean_center(algebra)
@@ -445,17 +533,16 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         orders.append(order)
         digit_rows.append(digits)
 
-    total = 1
-    for o in orders:
-        total *= o
-    tuples = list(zip(*(row.tolist() for row in digit_rows))) if digit_rows else []
-    if total != n or len(set(tuples)) != n:
+    digits = np.stack(digit_rows, axis=1) if digit_rows else np.zeros((n, 0), dtype=np.int32)
+    # digits are in range, so mixed-radix codes below prod(orders) = n are bijective iff distinct
+    codes = np.zeros(n, dtype=np.int64)
+    for i, order in enumerate(orders):
+        codes = codes * order + digits[:, i]
+    if math.prod(orders) != n or len(np.unique(codes)) != n:
         raise DecompositionError("not a product of chains: coordinate map is not bijective")
 
-    iso = tuple(tuple(t) for t in tuples)
-    cert = algebra._cache["decomposition"] = (
-        tuple(atoms), tuple(orders), iso, {t: x for x, t in enumerate(iso)})
-    return Decomposition(algebra, *cert)
+    cert = algebra._cache["decomposition"] = Certificate(tuple(atoms), tuple(orders), _frozen(digits))
+    return Decomposition(algebra, cert.atoms, cert.chain_orders, cert.iso, cert.iso_inverse)
 
 
 def are_isomorphic(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> bool:

@@ -9,7 +9,12 @@ maximal ideals above it, and the regularity test all live here.
 Every ideal of a finite MV-algebra is the down-set of exactly one Boolean
 (central) element, its join: `ideal_lattice` reads the ideals, their order and
 flags off the center in one cached pass, and the other functions answer from
-it.  The brute-force procedures it replaced are oracles in the test suite.
+it.  Under the chain-product certificate (`finite.Certificate`, attached by
+`product` and `chain_algebra`, found by `decompose` otherwise) an ideal is a
+set of coordinates: a quotient is the projection onto the others, checked
+against the digits in O(n*k), and the maximal ideals are the sets where one
+digit is 0.  The brute-force procedures these replaced are oracles in the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,12 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DecompositionError,
     InternalConsistencyError,
     NotAnIdealError,
     PreconditionError,
     ResourceCapError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, boolean_center, center_algebra
+from .finite import (
+    DEFAULT_MAX_SIZE,
+    FiniteMVAlgebra,
+    boolean_center,
+    center_algebra,
+    certificate,
+)
 
 
 @dataclass(frozen=True)
@@ -109,12 +121,14 @@ def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
 
 
 @dataclass(frozen=True, eq=False)
-class IdealLattice:
-    """`ideals[i]` is the down-set of the central element `generators[i]`, in
-    canonical (size, member list) order; `subset[i, j]` says ideals[i] lies
-    in ideals[j]; `index` maps member sets to positions."""
+class _LatticeCore:
+    """What `ideal_lattice` caches on the algebra: `members[i]` is the
+    down-set of the central element `generators[i]`, in canonical (size,
+    member list) order; `subset[i, j]` says members[i] lies in members[j];
+    `index` maps member sets to positions.  It holds no `Ideal`s, which
+    would point back at the algebra."""
 
-    ideals: tuple
+    members: tuple
     generators: np.ndarray
     subset: np.ndarray
     index: dict
@@ -122,17 +136,15 @@ class IdealLattice:
     maximal: np.ndarray
 
 
-def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealLattice:
-    """Every ideal as the down-set of a central element, in one cached pass.
+@dataclass(frozen=True, eq=False)
+class IdealLattice(_LatticeCore):
+    """The cached lattice with `ideals[i]`, the `Ideal` of members[i]."""
 
-    The join g of a finite ideal lies in it, so g (+) g does too and is <= g:
-    g is idempotent (central).  Conversely the down-set of an idempotent is
-    closed under (+); the pass checks every center member idempotent.  The
-    inclusion matrix is the order on the generators; maximal means no other
-    proper ideal above, prime means proper with the ideals above forming a
-    chain (the MV-algebra characterisation).  Cost for k ideals over n
-    elements: O(n^2) for the center and the down-sets, O(k^2) for the rest.
-    """
+    ideals: tuple
+
+
+def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
+    """The cached lattice pass; see `ideal_lattice`."""
     cached = algebra._cache.get("ideal_lattice")
     if cached is not None:
         return cached
@@ -145,7 +157,7 @@ def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealL
     downs = [np.flatnonzero(leq[:, g]).tolist() for g in center]
     order = sorted(range(len(center)), key=lambda c: (len(downs[c]), downs[c]))
     generators = center[order]
-    ideals = tuple(Ideal(algebra, frozenset(downs[c])) for c in order)
+    members = tuple(frozenset(downs[c]) for c in order)
     subset = leq[np.ix_(generators, generators)]
     proper = generators != algebra.one
     maximal = proper & ((subset & proper).sum(axis=1) == 1)
@@ -155,10 +167,27 @@ def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealL
     prime = proper & np.asarray(chain_above, dtype=bool)
     for shared in (generators, subset, prime, maximal):
         shared.setflags(write=False)
-    lattice = IdealLattice(ideals, generators, subset,
-                           {ideal.members: i for i, ideal in enumerate(ideals)}, prime, maximal)
-    algebra._cache["ideal_lattice"] = lattice
-    return lattice
+    core = _LatticeCore(members, generators, subset,
+                        {m: i for i, m in enumerate(members)}, prime, maximal)
+    algebra._cache["ideal_lattice"] = core
+    return core
+
+
+def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealLattice:
+    """Every ideal as the down-set of a central element, in one cached pass.
+
+    The join g of a finite ideal lies in it, so g (+) g does too and is <= g:
+    g is idempotent (central).  Conversely the down-set of an idempotent is
+    closed under (+); the pass checks every center member idempotent.  The
+    inclusion matrix is the order on the generators; maximal means no other
+    proper ideal above, prime means proper with the ideals above forming a
+    chain (the MV-algebra characterisation).  Cost for k ideals over n
+    elements: O(n^2) for the center and the down-sets, O(k^2) for the rest.
+    The cache holds member sets only; each call wraps them in k new `Ideal`s
+    (O(k)), so the algebra and its cache form no reference cycle.
+    """
+    core = _lattice_core(algebra, max_size)
+    return IdealLattice(**vars(core), ideals=tuple(Ideal(algebra, m) for m in core.members))
 
 
 def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
@@ -170,26 +199,34 @@ def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
     """Least ideal containing `seed`: of the ideals above it, the first in
     canonical order, checked to lie in all the others (O(|seed| * k))."""
     mask = _member_mask(algebra, seed)
-    lattice = ideal_lattice(algebra, None)
-    above = algebra.leq_matrix[np.ix_(np.flatnonzero(mask), lattice.generators)].all(axis=0)
+    core = _lattice_core(algebra, None)
+    above = algebra.leq_matrix[np.ix_(np.flatnonzero(mask), core.generators)].all(axis=0)
     least = int(np.argmax(above))
-    if not lattice.subset[least, above].all():
+    if not core.subset[least, above].all():
         raise InternalConsistencyError("no least ideal contains the seed")
-    return lattice.ideals[least]
+    return Ideal(algebra, core.members[least])
 
 
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
              max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
     """Flags and generator g looked up in the lattice (proper is g != 1); the
-    rank of a maximal ideal is the size of its quotient (O(n^2))."""
+    rank of a maximal ideal is the size of its quotient (O(n*k))."""
     if not is_ideal(algebra, ideal.members):
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    lattice = ideal_lattice(algebra, max_size)
-    i = lattice.index[ideal.members]
-    g = int(lattice.generators[i])
-    maximal = bool(lattice.maximal[i])
+    core = _lattice_core(algebra, max_size)
+    i = core.index[ideal.members]
+    g = int(core.generators[i])
+    maximal = bool(core.maximal[i])
     rank = quotient(algebra, ideal)[0].size if maximal else None
-    return IdealClassification(g != algebra.one, bool(lattice.prime[i]), maximal, rank, g)
+    return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
+
+
+def _digits(algebra: FiniteMVAlgebra) -> np.ndarray:
+    """The certificate's n x k digit array; an algebra without one is broken."""
+    try:
+        return certificate(algebra).digits
+    except DecompositionError as exc:
+        raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 
 
 def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
@@ -198,9 +235,13 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
     Returns (quotient algebra, projection): projection[x] is the class index
     of carrier element x; classes are numbered by least member.  With g the
     central generator of I, x's class is keyed by x (.) neg g = neg(neg x (+) g),
-    the projection of A = [0, g] x [0, neg g] onto [0, neg g] (O(n)); d(x, rep x)
-    in I is checked for every x (O(n)), the induced tables are verified well
-    defined (O(n^2)) and the projection kernel to be exactly the ideal.
+    the projection of A = [0, g] x [0, neg g] onto [0, neg g] (O(n)).  The
+    certificate proves the keying a homomorphism, so the induced sum is well
+    defined: the key's digits must be x's digits with g's nonzero coordinates
+    set to 0 (O(n*k); an algebra without a certificate gets one from
+    `decompose`, O(k*n^2) once).  d(x, rep x) in I, the induced negation and
+    the projection kernel are checked in O(n); the quotient sum table costs
+    O(m^2) for m classes.
     """
     mask = _member_mask(algebra, ideal.members)
     g = _generator(algebra, mask)
@@ -208,20 +249,19 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     n = algebra.size
     O, N = algebra.oplus_table, algebra.neg_table
-    _, first, inverse = np.unique(N[O[N, g]], return_index=True, return_inverse=True)
+    key = N[O[N, g]]
+    if n > 1:
+        digits = _digits(algebra)
+        if (digits[key] != digits * (digits[g] == 0)).any():
+            raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rep = first[inverse]  # least member of the class of x
     reps, class_of = np.unique(rep, return_inverse=True)
-    class_of = class_of.astype(np.int32)  # int32 gathers keep the O(n^2) check below fast
     if not mask[O[N[O[N, rep]], N[O[np.arange(n), N[rep]]]]].all():
         raise InternalConsistencyError("an element is not congruent to its class representative")
 
     q_op = class_of[O[np.ix_(reps, reps)]]
     q_neg = class_of[N[reps]]
-    step = max(1, (1 << 18) // n)  # row blocks: whole-table temporaries cost more at n = 4096
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        if (class_of[O[rows]] != q_op[class_of[rows]][:, class_of]).any():
-            raise InternalConsistencyError("induced sum is not well defined")
     if (class_of[N] != q_neg[class_of]).any():
         raise InternalConsistencyError("induced negation is not well defined")
 
@@ -238,22 +278,23 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
 def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     """The maximal ideals M_1..M_r with intersection equal to a proper ideal.
 
-    The maximal ideals are the down-sets of neg a for the center atoms a;
-    those containing the ideal are kept and their intersection is checked
-    to be the ideal.  Cost: O(n^2) for the center plus O(r * n).
+    Under the certificate the maximal ideals are the sets {x : digits[x, i] = 0};
+    those containing the ideal are the coordinates on which every member's
+    digit is 0, and their intersection is checked to be the ideal.  Cost
+    O(n*k) plus the certificate (see `quotient`); no order matrix or center
+    is built.
     """
-    if not is_ideal(algebra, ideal.members):
+    mask = _member_mask(algebra, ideal.members)
+    if _generator(algebra, mask) is None:
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    if not ideal.is_proper:
+    if mask.all():
         raise PreconditionError("the improper ideal has no maximal decomposition")
 
-    leq = algebra.leq_matrix
-    coatoms = algebra.neg_table[list(boolean_center(algebra)[1])]
-    above = coatoms[leq[np.ix_(sorted(ideal.members), coatoms)].all(axis=0)]
-    result = [Ideal(algebra, frozenset(np.flatnonzero(leq[:, c]).tolist())) for c in above]
-
-    if frozenset(range(algebra.size)).intersection(*(m.members for m in result)) != ideal.members:
+    digits = _digits(algebra)
+    zero_sets = digits[:, (digits[mask] == 0).all(axis=0)] == 0
+    if (zero_sets.all(axis=1) != mask).any():
         raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")
+    result = [Ideal(algebra, frozenset(np.flatnonzero(col).tolist())) for col in zero_sets.T]
     return tuple(sorted(result, key=lambda i: i.sorted_members))
 
 
@@ -261,12 +302,12 @@ def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?
     Both primality tests read lattice flags; cost: the two lattice passes."""
     center, emb = center_algebra(algebra)
-    center_lattice = ideal_lattice(center, max_size)
-    lattice = ideal_lattice(algebra, None)
-    for ideal, prime in zip(center_lattice.ideals, center_lattice.prime):
+    center_core = _lattice_core(center, max_size)
+    core = _lattice_core(algebra, None)
+    for members, prime in zip(center_core.members, center_core.prime):
         if not prime:
             continue
-        generated = generated_ideal(algebra, {emb[m] for m in ideal.members})
-        if not lattice.prime[lattice.index[generated.members]]:
+        generated = generated_ideal(algebra, {emb[m] for m in members})
+        if not core.prime[core.index[generated.members]]:
             return False
     return True

@@ -336,3 +336,60 @@ def test_negative_cap_exits_3(capsys, flag):
     code, report = invoke(capsys, "census", data.path("example_4_5"), flag, "-3")
     assert code == 3 and report["error"]["kind"] == "schema"
     assert flag in report["error"]["message"]
+
+
+TABLES_23 = {"type": "tables", "size": 2, "zero": 0, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_table_entries_must_be_integers(capsys, bad):
+    oplus = [[0, 1], [1, bad]]
+    code, report = invoke(capsys, "verify", dict(TABLES_23, oplus=oplus))
+    assert code == 3 and report["error"] == {
+        "kind": "schema", "message": "field 'oplus' must contain integers"}
+    code, report = invoke(capsys, "verify", dict(TABLES_23, neg=[1, bad]))
+    assert code == 3 and report["error"] == {
+        "kind": "schema", "message": "field 'neg' must be a list of integers"}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"oplus": [[0, 1], 1]}, "field 'oplus' must be a list of rows"),
+    ({"oplus": [[0, 1], [1, 1, 1]]}, "field 'oplus' must be a 2x2 matrix"),
+    ({"oplus": [[0, 1], [1, True, 1]]}, "field 'oplus' must contain integers"),
+    ({"neg": [1]}, "field 'neg' must have 2 entries"),
+    ({"oplus": [], "neg": []}, "field 'oplus' must be a 2x2 matrix"),
+])
+def test_malformed_tables_messages(capsys, change, message):
+    code, report = invoke(capsys, "verify", dict(TABLES_23, **change))
+    assert code == 3 and report["error"] == {"kind": "schema", "message": message}
+
+
+@pytest.mark.parametrize("ideal", ["[true]", "[0, 1.0]", "[\"0\"]", "{}"])
+def test_quotient_ideal_must_be_index_list(capsys, ideal):
+    code, report = invoke(capsys, "quotient", PRODUCT_23, "--ideal", ideal)
+    assert code == 3 and report["error"] == {
+        "kind": "schema", "message": "--ideal must be a JSON list of element indices"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "doc.json", "--max-size", "abc"], "argument --max-size: invalid int value: 'abc'"),
+    (["quotient", "doc.json"], "the following arguments are required: --ideal"),
+    (["verify", "doc.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frobnicate", "doc.json"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_are_schema_reports(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert report["version"] == "1" and report["command"] == (argv[0] if argv else None)
+    assert report["error"]["kind"] == "schema" and report["error"]["message"].startswith(message)
+    assert "result" not in report
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mvkit verify")

@@ -1,9 +1,11 @@
 """Inverse systems, the profinite completion, and the center verifications."""
 
+import gc
 import inspect
 import itertools
 import random
 import sys
+import weakref
 
 import numpy as np
 
@@ -188,3 +190,20 @@ def test_center_completion_examples():
     cube = mv.product([L(2)] * 3)
     report = mv.verify_center_completion_commute(cube)
     assert report.ok and report.center_of_completion_size == 8
+
+
+def test_algebra_is_freed_without_the_cycle_collector():
+    """The ideal lattice cached on an algebra holds no reference back to it."""
+    gc.disable()
+    try:
+        alg = mv.product([mv.chain_algebra(3), mv.chain_algebra(4)])
+        for ideal in mv.all_ideals(alg):
+            mv.classify(alg, ideal)
+        mv.build_inverse_system(alg)
+        mv.profinite_completion(alg)
+        assert "ideal_lattice" in alg._cache
+        ref = weakref.ref(alg)
+        del alg, ideal
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -21,6 +21,7 @@ from conftest import (
     SWEEP_ORDER,
     axiom_failure_by_sweep,
     build_family,
+    certificate_by_revalidation,
     exists_isomorphism,
     product_by_gather,
     shuffled,
@@ -322,6 +323,41 @@ def test_product_matches_gather_oracle():
         assert got.oplus_table.dtype == want.oplus_table.dtype
         assert (got.oplus_table == want.oplus_table).all()
         assert (got.neg_table == want.neg_table).all()
+
+
+def test_composed_certificates_match_revalidation(family):
+    """chain_algebra, product and center_algebra attach exactly the
+    certificate `decompose` finds on the re-validated tables; a product
+    carries one only when every nontrivial factor does."""
+    rng = random.Random(71)
+    L = mv.chain_algebra
+    pool = [L(2), L(3), L(4), L(5), mv.trivial_algebra(),
+            revalidate(shuffled(mv.product([L(2), L(3)]), rng)),
+            revalidate(shuffled(mv.product([L(3), L(3), L(2)]), rng)),
+            revalidate(shuffled(L(4), rng)),
+            mv.FiniteMVAlgebra(3, 0, L(3).oplus_table, L(3).neg_table)]   # no certificate
+    for _ in range(300):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        try:
+            A = mv.product(factors, max_size=300)
+        except ResourceCapError:
+            continue
+        certified = A.size > 1 and all("decomposition" in f._cache for f in factors if f.size > 1)
+        assert ("decomposition" in A._cache) == certified, [f.size for f in factors]
+        if not certified:
+            continue
+        assert not A._cache["decomposition"].digits.flags.writeable
+        dec = mv.decompose(A)
+        assert (dec.atoms, dec.chain_orders, dec.iso) == certificate_by_revalidation(A)
+        if A.size <= 36 and len(pool) < 40:
+            pool.append(A)     # nested products
+
+    for combo, algebra in family:
+        for A in (algebra, revalidate(shuffled(algebra, rng))):
+            center, _ = mv.center_algebra(A)
+            assert "decomposition" in center._cache, combo
+            dec = mv.decompose(center)
+            assert (dec.atoms, dec.chain_orders, dec.iso) == certificate_by_revalidation(center)
 
 
 def test_decompose_and_intervals_build_no_lattice_tables(family):

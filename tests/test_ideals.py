@@ -1,14 +1,17 @@
 """Ideal generation, enumeration, classification, quotients, decomposition."""
 
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import mvkit as mv
-from mvkit.errors import NotAnIdealError, PreconditionError
+from mvkit.errors import InternalConsistencyError, NotAnIdealError, PreconditionError
 
 from conftest import (
+    check_induced_sum,
     classify_by_scan,
     ideal_by_closure,
     ideals_by_closure,
@@ -320,3 +323,48 @@ def test_quotient_at_cap_builds_no_distance_table():
     quot, proj = mv.quotient(A, first_digit_zero)
     assert quot.size == 2 and proj == tuple(x // 2048 for x in range(4096))
     assert "dist" not in A._cache
+    check_induced_sum(A, proj, quot.oplus_table)
+
+
+def test_certificate_readers_match_oracles():
+    """quotient and maximal_decomposition read off a product's composed
+    certificate agree with the distance-table and quotient oracles."""
+    rng = random.Random(83)
+    for orders in ([2] * 8, [3, 3, 3], [4, 2, 3], [5, 5], [2, 2, 3, 3], [4, 4, 4], [2, 5, 2, 3]):
+        A = mv.product([L(n) for n in orders])
+        assert "decomposition" in A._cache, orders
+        for maximal in mv.maximal_decomposition(A, mv.zero_ideal(A)):
+            mv.quotient(A, maximal)
+        assert "leq" not in A._cache, orders    # neither reader built the order matrix
+        ideals = mv.all_ideals(A)
+        for ideal in rng.sample(ideals, min(24, len(ideals))):
+            quot, proj = mv.quotient(A, ideal)
+            want, want_proj = quotient_by_distance(A, ideal)
+            assert proj == want_proj, (orders, ideal)
+            assert (quot.size, quot.zero, quot.labels) == (want.size, want.zero, want.labels)
+            assert (quot.oplus_table == want.oplus_table).all(), (orders, ideal)
+            assert (quot.neg_table == want.neg_table).all(), (orders, ideal)
+            if ideal.is_proper:
+                parts = mv.maximal_decomposition(A, ideal)
+                assert [p.members for p in parts] == maximal_decomposition_by_quotient(A, ideal.members)
+
+
+def test_quotient_rejects_a_corrupted_certificate():
+    """Swapping the digit rows of two elements in different classes is caught.
+    The zero ideal is left out: its classes are single elements, so its
+    quotient is the identity whatever the digits say."""
+    A = mv.product([L(3), L(2), L(4)])
+    cert = A._cache["decomposition"]
+    for ideal in mv.all_ideals(A):
+        if len(ideal) in (1, A.size):
+            continue
+        _, proj = mv.quotient(A, ideal)
+        for x, y in itertools.combinations(range(A.size), 2):
+            if proj[x] == proj[y]:
+                continue
+            digits = np.array(cert.digits)
+            digits[[x, y]] = digits[[y, x]]
+            A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+            with pytest.raises(InternalConsistencyError):
+                mv.quotient(A, ideal)
+        A._cache["decomposition"] = cert
