@@ -534,11 +534,12 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         digit_rows.append(digits)
 
     digits = np.stack(digit_rows, axis=1) if digit_rows else np.zeros((n, 0), dtype=np.int32)
-    # digits are in range, so mixed-radix codes below prod(orders) = n are bijective iff distinct
+    # with prod(orders) = n, x -> digits[x] is a bijection onto the product
+    # exactly when the mixed-radix codes are 0..n-1 in some order
     codes = np.zeros(n, dtype=np.int64)
     for i, order in enumerate(orders):
         codes = codes * order + digits[:, i]
-    if math.prod(orders) != n or len(np.unique(codes)) != n:
+    if math.prod(orders) != n or (np.sort(codes) != np.arange(n)).any():
         raise DecompositionError("not a product of chains: coordinate map is not bijective")
 
     cert = algebra._cache["decomposition"] = Certificate(tuple(atoms), tuple(orders), _frozen(digits))
