@@ -117,9 +117,9 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     first in all_ideals order, so numbering threads by their class there is
     their lexicographic order.
 
-    The canonical map is then checked injective, surjective and a
-    homomorphism, and the completion isomorphic to the algebra.  Cost: that
-    of build_inverse_system plus O(n^2) for the final check.
+    The canonical map is then checked surjective and a homomorphism; being
+    injective, it is then an isomorphism, with no further comparison.  Cost:
+    that of build_inverse_system plus O(n^2) for the final check.
     """
     system = build_inverse_system(algebra, max_size)
     least = np.flatnonzero(system.subset.all(axis=1))
@@ -134,14 +134,13 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     completion = FiniteMVAlgebra(m, at_least.zero, at_least.oplus_table, at_least.neg_table)
 
     can_arr = np.asarray(canonical, dtype=np.int32)
-    injective = len(set(canonical)) == algebra.size
     surjective = set(canonical) == set(range(m))
     hom = (
         (completion.oplus_table[np.ix_(can_arr, can_arr)] == can_arr[algebra.oplus_table]).all()
         and (completion.neg_table[can_arr] == can_arr[algebra.neg_table]).all()
         and completion.zero == canonical[algebra.zero]
     )
-    iso = bool(injective and surjective and hom and are_isomorphic(algebra, completion))
+    iso = bool(surjective and hom)
     return CompletionResult(system, completion, canonical, iso)
 
 

@@ -2,28 +2,27 @@
 
 Carriers are index sets {0..size-1}; the truncated sum is a size x size
 table and negation a size-vector, both held as read-only numpy integer
-arrays (all values are exact carrier indices, no floats).  The derived
-order, lattice tables and the distance term are computed lazily from the
-defining formulas and cached per algebra.
+arrays (all values are exact carrier indices, no floats).  The order matrix
+is the one derived n x n table, computed lazily and cached per algebra; the
+element-level join, meet and distance are O(1) formulas on the two tables,
+and a meet with a central a is the O(n) column neg(neg x (+) neg a).
 
-`from_tables` is the validating constructor.  On valid tables it costs
-O(k*n^2) for k center atoms: the quadratic axiom checks, then the chain
-decomposition as a certificate (a finite MV-algebra is a product of
+`from_tables` is the validating constructor.  Its one acceptance path is the
+chain decomposition as a certificate (a finite MV-algebra is a product of
 Lukasiewicz chains, and a bijective homomorphism onto such a product proves
-every axiom).  The O(n^3) associativity sweep runs only on rejected tables,
-to report the first failing axiom together with a witness.
-Algebras produced internally (products, quotients, intervals) are valid by
-construction and are built without re-validation; the test
-suite re-validates representatives of every such construction.  A meet with
-a central a is the O(n) column neg(neg x (+) neg a): only the element-level
-`join`/`meet` accessors build the n x n lattice tables.
+every axiom), in O(k*n^2) for k center atoms.  Only tables it refuses meet
+the axiom checks and the O(n^3) associativity sweep, which report the first
+failing axiom together with a witness.  Algebras produced internally
+(products, quotients, intervals) are valid by construction and are built
+without re-validation; the test suite re-validates representatives of every
+such construction.
 
-The chain-product certificate (`Certificate`: the center atoms, their chain
-orders and the n x k digit array) is cached on the algebra under
-"decomposition".  `from_tables` verifies it through `decompose`;
-`chain_algebra`, `product` (from its factors' certificates) and
-`center_algebra` attach it by construction in O(n*k), so the ideal layer
-reads quotients and maximal ideals off the digits without recomputing it.
+The certificate (`Decomposition`: the center atoms, their chain orders and
+the n x k digit array) is cached on the algebra under "decomposition".
+`from_tables` finds it through `decompose`; `chain_algebra`, `product`
+(from its factors' certificates) and `center_algebra` attach it by
+construction in O(n*k), so the ideal layer reads quotients and maximal
+ideals off the digits without recomputing it.
 """
 
 from __future__ import annotations
@@ -56,8 +55,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class FiniteMVAlgebra:
     """A finite MV-algebra given by its truncated-sum and negation tables.
 
-    Immutable once built; the derived tables are cached lazily, so concurrent
-    readers may compute one redundantly but never observe a partial state.
+    Immutable once built; the order matrix and the certificate are cached
+    lazily, so concurrent readers may compute one redundantly but never
+    observe a partial state.
     """
 
     def __init__(self, size, zero, oplus_table, neg_table, labels=None):
@@ -99,16 +99,21 @@ class FiniteMVAlgebra:
         return int(self.neg_table[x])
 
     def join(self, x: int, y: int) -> int:
-        return int(self.join_table[x, y])
+        # x v y = neg(neg x (+) y) (+) y
+        O, N = self.oplus_table, self.neg_table
+        return int(O[N[O[N[x], y]], y])
 
     def meet(self, x: int, y: int) -> int:
-        return int(self.meet_table[x, y])
+        # x ^ y = neg(neg x v neg y)
+        return self.neg(self.join(self.neg(x), self.neg(y)))
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.leq_matrix[x, y])
 
     def dist(self, x: int, y: int) -> int:
-        return int(self.distance_table[x, y])
+        # d(x, y) = neg(neg x (+) y) (+) neg(x (+) neg y)
+        O, N = self.oplus_table, self.neg_table
+        return int(O[N[O[N[x], y]], N[O[x, N[y]]]])
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -116,48 +121,14 @@ class FiniteMVAlgebra:
     def elements(self):
         return range(self.size)
 
-    # -- derived tables (lazy, shared by every consumer) ---------------
-
-    def _derived(self, key):
-        if key in self._cache:
-            return self._cache[key]
-        O, N = self.oplus_table, self.neg_table
-        if key == "leq":
-            # x <= y  iff  neg x (+) y = 1
-            val = O[N] == self.one
-        elif key == "join":
-            # x v y = neg(neg x (+) y) (+) y
-            inner = N[O[N]]
-            val = O[inner, np.arange(self.size)[None, :]]
-        elif key == "meet":
-            # x ^ y = neg(neg x v neg y)
-            J = self._derived("join")
-            val = N[J[np.ix_(N, N)]]
-        elif key == "dist":
-            # d(x,y) = neg(neg x (+) y) (+) neg(x (+) neg y)
-            a = N[O[N]]
-            b = N[O[:, N]]
-            val = O[a, b]
-        else:  # pragma: no cover
-            raise KeyError(key)
-        self._cache[key] = _frozen(val)
-        return val
-
     @property
     def leq_matrix(self) -> np.ndarray:
-        return self._derived("leq")
-
-    @property
-    def join_table(self) -> np.ndarray:
-        return self._derived("join")
-
-    @property
-    def meet_table(self) -> np.ndarray:
-        return self._derived("meet")
-
-    @property
-    def distance_table(self) -> np.ndarray:
-        return self._derived("dist")
+        """x <= y iff neg x (+) y = 1, as a read-only n x n bool array: the
+        one derived table, built on first use and cached."""
+        leq = self._cache.get("leq")
+        if leq is None:
+            leq = self._cache["leq"] = _frozen(self.oplus_table[self.neg_table] == self.one)
+        return leq
 
     def __repr__(self) -> str:
         return f"FiniteMVAlgebra(size={self.size})"
@@ -180,14 +151,13 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
                 max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Build an algebra from raw tables, verifying every axiom.
 
-    Commutativity and the identity are checked directly; once the
-    involution, mv1 and mv2 checks also hold, a successful `decompose` is
-    the certificate: a bijective (+, neg, 0)-homomorphism onto a product of
-    Lukasiewicz chains carries every axiom over, in O(k*n^2) for k center
-    atoms (its result is cached on the algebra).  Only tables that fail a
-    check or the certificate meet the O(n^3) associativity sweep, which
-    reports the first failing axiom in the order associative, involution,
-    mv1, mv2.
+    Valid tables are accepted when `decompose` succeeds: a bijective
+    (+, neg, 0)-homomorphism onto a product of Lukasiewicz chains carries
+    every axiom over, in O(k*n^2) for k center atoms (the certificate stays
+    cached on the algebra).  A one-element carrier is accepted outright.
+    Only tables the certificate refuses are checked axiom by axiom, in the
+    order commutative, identity, associative (the O(n^3) sweep), involution,
+    mv1, mv2, to report the first failure.
 
     Raises MVAxiomError naming the first failed axiom and a witness tuple;
     structural problems raise SchemaError, oversize carriers ResourceCapError.
@@ -195,27 +165,23 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     if max_size is not None and size > max_size:
         raise ResourceCapError(size, max_size)
     alg = FiniteMVAlgebra(size, zero, oplus_table, neg_table, labels)
-    O = alg.oplus_table
-    n = alg.size
+    if alg.size == 1:
+        return alg
+    try:
+        decompose(alg)
+        return alg
+    except (DecompositionError, InternalConsistencyError):
+        alg._cache.clear()
 
+    O, N = alg.oplus_table, alg.neg_table
+    n = alg.size
     bad = np.argwhere(O != O.T)
     if len(bad):
-        x, y = map(int, bad[0])
-        raise MVAxiomError("commutative", (x, y))
+        raise MVAxiomError("commutative", tuple(map(int, bad[0])))
 
     bad = np.flatnonzero(O[alg.zero] != np.arange(n))
     if len(bad):
         raise MVAxiomError("identity", (int(bad[0]),))
-
-    mv_failure = _mv_failure(alg)
-    if mv_failure is None:
-        if n == 1:
-            return alg
-        try:
-            decompose(alg)
-            return alg
-        except (DecompositionError, InternalConsistencyError):
-            alg._cache.clear()
 
     for z in range(n):
         col = O[:, z]
@@ -225,33 +191,23 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
         if len(bad):
             x, y = map(int, bad[0])
             raise MVAxiomError("associative", (x, y, z))
-    if mv_failure is not None:
-        raise MVAxiomError(*mv_failure)
-    raise InternalConsistencyError("tables satisfy every axiom but have no chain decomposition")
 
-
-def _mv_failure(alg):
-    """The first failure of the involution, mv1 and mv2 checks as
-    (axiom, witness), else None.  O(n^2)."""
-    O, N = alg.oplus_table, alg.neg_table
-    n = alg.size
     bad = np.flatnonzero(N[N] != np.arange(n))
     if len(bad):
-        return "involution", (int(bad[0]),)
+        raise MVAxiomError("involution", (int(bad[0]),))
 
     one = alg.one
     bad = np.flatnonzero(O[one] != one)
     if len(bad):
-        return "mv1", (int(bad[0]),)
+        raise MVAxiomError("mv1", (int(bad[0]),))
 
     # neg(neg x (+) y) (+) y is symmetric in (x, y) exactly when the second
     # MV identity holds, so the check is a transpose comparison.
     L = O[N[O[N]], np.arange(n)[None, :]]
     bad = np.argwhere(L != L.T)
     if len(bad):
-        x, y = map(int, bad[0])
-        return "mv2", (x, y)
-    return None
+        raise MVAxiomError("mv2", tuple(map(int, bad[0])))
+    raise InternalConsistencyError("tables satisfy every axiom but have no chain decomposition")
 
 
 # -- basic constructions ---------------------------------------------------
@@ -275,7 +231,7 @@ def chain_algebra(order: int) -> FiniteMVAlgebra:
     neg = (order - 1) - idx
     labels = tuple(str(Fraction(k, order - 1)) for k in range(order))
     chain = FiniteMVAlgebra(order, 0, oplus, neg, labels)
-    chain._cache["decomposition"] = Certificate((order - 1,), (order,), _frozen(idx[:, None].copy()))
+    chain._cache["decomposition"] = Decomposition((order - 1,), (order,), _frozen(idx[:, None].copy()))
     return chain
 
 
@@ -333,8 +289,8 @@ def _product_certificate(factors, total, zero):
         stride *= f.size
     order = np.argsort(atoms)
     digits = np.concatenate(columns, axis=1)[:, order]
-    return Certificate(tuple(atoms[i] for i in order), tuple(orders[i] for i in order),
-                       _frozen(digits))
+    return Decomposition(tuple(atoms[i] for i in order), tuple(orders[i] for i in order),
+                         _frozen(digits))
 
 
 def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
@@ -401,7 +357,7 @@ def center_algebra(algebra: FiniteMVAlgebra):
     sub = FiniteMVAlgebra(len(members), int(pos[algebra.zero]), oplus, neg, labels)
     cert = algebra._cache.get("decomposition")
     if cert is not None:
-        sub._cache["decomposition"] = Certificate(
+        sub._cache["decomposition"] = Decomposition(
             tuple(int(pos[a]) for a in cert.atoms), (2,) * len(cert.atoms),
             _frozen((cert.digits[emb] != 0).astype(np.int32)))
     return sub, tuple(int(m) for m in members)
@@ -435,13 +391,16 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
 
 
 @dataclass(frozen=True, eq=False)
-class Certificate:
-    """The chain-product certificate of one algebra, kept in its cache.
+class Decomposition:
+    """A verified isomorphism onto a product of Lukasiewicz chains: the
+    chain-product certificate of one algebra, kept in its cache.
 
-    `digits[x, i]` is the position of x ^ atoms[i] in the chain [0, atoms[i]]
-    of `chain_orders[i]` elements (a read-only n x k array); x -> digits[x]
-    is an isomorphism onto the product of those chains.  `iso` and
-    `iso_inverse` are derived from the digits on first use.  It holds no
+    `chain_orders[i]` is the number of elements of the interval [0, atoms[i]];
+    `digits[x, i]` is the position of x ^ atoms[i] in that chain (a read-only
+    n x k array), and x -> digits[x] is the isomorphism.  `iso[x]`, the
+    numerator tuple of x, and its inverse `iso_inverse` are derived from the
+    digits on first use.  The multiset of chain orders is a complete
+    isomorphism invariant, exposed sorted via `sorted_orders`.  It holds no
     reference to the algebra, so caching it makes no cycle.
     """
 
@@ -457,35 +416,9 @@ class Certificate:
     def iso_inverse(self) -> dict:
         return {t: x for x, t in enumerate(self.iso)}
 
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A verified isomorphism onto a product of Lukasiewicz chains.
-
-    `chain_orders[i]` is the number of elements of the interval [0, atoms[i]];
-    `iso[x]` is the numerator tuple of carrier element x, `iso_inverse` its
-    inverse.  The multiset of chain orders is a complete isomorphism
-    invariant, exposed sorted via `sorted_orders`.
-    """
-
-    algebra: FiniteMVAlgebra
-    atoms: tuple
-    chain_orders: tuple
-    iso: tuple
-    iso_inverse: dict
-
     @property
     def sorted_orders(self) -> tuple:
         return tuple(sorted(self.chain_orders))
-
-
-def certificate(algebra: FiniteMVAlgebra) -> Certificate:
-    """The algebra's cached certificate, found by `decompose` when missing."""
-    cert = algebra._cache.get("decomposition")
-    if cert is None:
-        decompose(algebra)
-        cert = algebra._cache["decomposition"]
-    return cert
 
 
 def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
@@ -498,12 +431,13 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     a bijective homomorphism onto the product of those chains: per atom a,
     x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2),
     O(k*n^2) in all.  The negation check confines each digit to
-    0..order-1, so success proves the tables an MV-algebra.  The certificate
-    is cached on the algebra; each call wraps it in a new Decomposition.
+    0..order-1, so success proves the tables an MV-algebra, commutativity
+    and the identity included.  The result is cached on the algebra and
+    returned itself by later calls.
     """
     cert = algebra._cache.get("decomposition")
     if cert is not None:
-        return Decomposition(algebra, cert.atoms, cert.chain_orders, cert.iso, cert.iso_inverse)
+        return cert
     if algebra.size == 1:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     _, atoms = boolean_center(algebra)
@@ -542,8 +476,8 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     if math.prod(orders) != n or (np.sort(codes) != np.arange(n)).any():
         raise DecompositionError("not a product of chains: coordinate map is not bijective")
 
-    cert = algebra._cache["decomposition"] = Certificate(tuple(atoms), tuple(orders), _frozen(digits))
-    return Decomposition(algebra, cert.atoms, cert.chain_orders, cert.iso, cert.iso_inverse)
+    cert = algebra._cache["decomposition"] = Decomposition(tuple(atoms), tuple(orders), _frozen(digits))
+    return cert
 
 
 def are_isomorphic(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> bool:

@@ -9,7 +9,7 @@ maximal ideals above it, and the regularity test all live here.
 Every ideal of a finite MV-algebra is the down-set of exactly one Boolean
 (central) element, its join: `ideal_lattice` reads the ideals, their order and
 flags off the center in one cached pass, and the other functions answer from
-it.  Under the chain-product certificate (`finite.Certificate`, attached by
+it.  Under the chain-product certificate (`finite.Decomposition`, attached by
 `product` and `chain_algebra`, found by `decompose` otherwise) an ideal is a
 set of coordinates: a quotient is the projection onto the others, checked
 against the digits in O(n*k), and the maximal ideals are the sets where one
@@ -35,7 +35,7 @@ from .finite import (
     FiniteMVAlgebra,
     boolean_center,
     center_algebra,
-    certificate,
+    decompose,
 )
 
 
@@ -224,7 +224,7 @@ def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
 def _digits(algebra: FiniteMVAlgebra) -> np.ndarray:
     """The certificate's n x k digit array; an algebra without one is broken."""
     try:
-        return certificate(algebra).digits
+        return decompose(algebra).digits
     except DecompositionError as exc:
         raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 

@@ -5,7 +5,7 @@ ideal enumeration scans raw subsets or closes each element under the sum and
 the order, ideals are classified one at a time (maximality by a scan over all
 ideals, primality by a sweep over meets of non-members) and decomposed
 through a quotient, ideals are checked clause by clause, quotients are built
-from the distance table and their induced sum checked at all n^2 pairs
+from the distance term and their induced sum checked at all n^2 pairs
 (`check_induced_sum`), chain-product certificates are recomputed by
 `decompose` on re-validated tables, products by one strided gather per factor, table
 axioms by the exhaustive sweep (associativity by a loop over z),
@@ -112,8 +112,10 @@ def is_prime_by_meet_sweep(algebra, members):
     mask[list(members)] = True
     if mask.all():
         return False
-    outside = np.flatnonzero(~mask)
-    meets = algebra.meet_table[np.ix_(outside, outside)]
+    O, N = algebra.oplus_table, algebra.neg_table
+    u = N[np.flatnonzero(~mask)]
+    # x ^ y = neg(u v w) for u = neg x, w = neg y, u v w = neg(neg u (+) w) (+) w
+    meets = N[O[N[O[N[u][:, None], u[None, :]]], u[None, :]]]
     return not mask[meets].any()
 
 
@@ -162,7 +164,7 @@ def is_ideal_by_clauses(algebra, members):
 
 
 def quotient_by_distance(algebra, ideal):
-    """Quotient through the distance table: the class of the least unassigned
+    """Quotient through the distance term: the class of the least unassigned
     x is every y with d(x, y) in I; classes are numbered by least member and
     the induced tables and the kernel are checked as in `mv.quotient`."""
     if not is_ideal_by_clauses(algebra, ideal.members):
@@ -170,7 +172,9 @@ def quotient_by_distance(algebra, ideal):
     n = algebra.size
     mask = np.zeros(n, dtype=bool)
     mask[list(ideal.members)] = True
-    related = mask[algebra.distance_table]
+    O, N = algebra.oplus_table, algebra.neg_table
+    # d(x, y) = neg(neg x (+) y) (+) neg(x (+) neg y) at all n^2 pairs
+    related = mask[O[N[O[N]], N[O[:, N]]]]
 
     class_of = np.full(n, -1, dtype=np.int32)
     reps = []

@@ -366,7 +366,24 @@ def test_decompose_and_intervals_build_no_lattice_tables(family):
         mv.decompose(A)
         for a in mv.boolean_center(A)[0]:
             mv.interval_algebra(A, a)
-        assert "join" not in A._cache and "meet" not in A._cache, combo
+        for x in range(A.size):
+            A.join(x, A.one), A.meet(x, A.zero), A.dist(x, A.neg(x)), A.leq(x, A.one)
+        assert set(A._cache) <= {"leq", "decomposition"}, combo
+
+
+def test_formula_accessors_match_certificate_digits(family):
+    """join, meet and dist are the componentwise max, min and |a - b| of the
+    digits, at every pair of every shuffled family algebra."""
+    rng = random.Random(20261019)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        digits = mv.decompose(A).digits
+        n = A.size
+        dx, dy = digits[:, None, :], digits[None, :, :]
+        for accessor, want in ((A.join, np.maximum(dx, dy)), (A.meet, np.minimum(dx, dy)),
+                               (A.dist, np.abs(dx - dy))):
+            got = np.array([[accessor(x, y) for y in range(n)] for x in range(n)])
+            assert (digits[got] == want).all(), (combo, accessor.__name__)
 
 
 def certificate(dec):
@@ -433,6 +450,49 @@ def test_non_associative_tables_take_the_sweep():
         with pytest.raises(MVAxiomError) as info:
             mv.from_tables(*tables)
         assert (info.value.axiom, info.value.witness) == want
+
+
+def test_random_tables_meet_the_certificate_then_the_sweep():
+    """Every table meets `decompose` before any axiom check.  Over random
+    tables with n <= 6 (raw, symmetrised, symmetrised with a forced identity
+    row, all with a random negation, and shuffled valid tables with one entry
+    changed or none), `from_tables` accepts exactly when the sweep finds no
+    failure, and otherwise raises the sweep's axiom and witness."""
+    rng = random.Random(20261020)
+    pool = [A for combo, A in build_family() if A.size <= 6]
+    verdicts = set()
+    for trial in range(3000):
+        kind = trial % 4
+        if kind < 3:
+            n = rng.randint(1, 6)
+            zero = rng.randrange(n)
+            oplus = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            if kind > 0:
+                oplus = np.triu(oplus) + np.triu(oplus, 1).T
+            if kind == 2:
+                oplus[zero] = oplus[:, zero] = np.arange(n)
+            neg = np.array([rng.randrange(n) for _ in range(n)])
+        else:
+            A = shuffled(rng.choice(pool), rng)
+            n, zero = A.size, A.zero
+            oplus, neg = np.array(A.oplus_table), np.array(A.neg_table)
+            x, y, w = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            change = rng.choice(("none", "neg", "asymmetric", "symmetric"))
+            if change == "neg":
+                neg[x] = w
+            elif change != "none":
+                oplus[x, y] = w
+                if change == "symmetric":
+                    oplus[y, x] = w
+        want = axiom_failure_by_sweep(n, zero, oplus, neg)
+        verdicts.add(want and want[0])
+        if want is None:
+            mv.from_tables(n, zero, oplus, neg)
+            continue
+        with pytest.raises(MVAxiomError) as info:
+            mv.from_tables(n, zero, oplus, neg)
+        assert (info.value.axiom, info.value.witness) == want, (n, zero, oplus.tolist(), neg.tolist())
+    assert verdicts == {None, *SWEEP_ORDER}
 
 
 def test_failed_certificate_on_valid_tables_is_internal_error(monkeypatch):
