@@ -20,9 +20,9 @@ such construction.
 The certificate (`Decomposition`: the center atoms, their chain orders and
 the n x k digit array) is cached on the algebra under "decomposition".
 `from_tables` finds it through `decompose`; `chain_algebra`, `product`
-(from its factors' certificates) and `center_algebra` attach it by
-construction in O(n*k), so the ideal layer reads quotients and maximal
-ideals off the digits without recomputing it.
+(from its factors' certificates), `center_algebra` and `ideals.quotient`
+attach it by construction in O(n*k), so the ideal layer reads quotients and
+maximal ideals off the digits without recomputing it.
 """
 
 from __future__ import annotations

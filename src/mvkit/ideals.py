@@ -11,10 +11,10 @@ Every ideal of a finite MV-algebra is the down-set of exactly one Boolean
 flags off the center in one cached pass, and the other functions answer from
 it.  Under the chain-product certificate (`finite.Decomposition`, attached by
 `product` and `chain_algebra`, found by `decompose` otherwise) an ideal is a
-set of coordinates: a quotient is the projection onto the others, checked
-against the digits in O(n*k), and the maximal ideals are the sets where one
-digit is 0.  The brute-force procedures these replaced are oracles in the
-test suite.
+set of coordinates: its classes are the projection onto the others, checked
+against the digits in O(n*k), a quotient carries the projected certificate,
+and the maximal ideals are the sets where one digit is 0.  The brute-force
+procedures these replaced are oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .errors import (
 )
 from .finite import (
     DEFAULT_MAX_SIZE,
+    Decomposition,
     FiniteMVAlgebra,
+    _frozen,
     boolean_center,
     center_algebra,
     decompose,
@@ -210,69 +212,82 @@ def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
              max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
     """Flags and generator g looked up in the lattice (proper is g != 1); the
-    rank of a maximal ideal is the size of its quotient (O(n*k))."""
+    rank of a maximal ideal is its class count (`classes`, O(n*k))."""
     if not is_ideal(algebra, ideal.members):
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     core = _lattice_core(algebra, max_size)
     i = core.index[ideal.members]
     g = int(core.generators[i])
     maximal = bool(core.maximal[i])
-    rank = quotient(algebra, ideal)[0].size if maximal else None
+    rank = len(classes(algebra, ideal)[1]) if maximal else None
     return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
 
 
-def _digits(algebra: FiniteMVAlgebra) -> np.ndarray:
-    """The certificate's n x k digit array; an algebra without one is broken."""
+def _certificate(algebra: FiniteMVAlgebra) -> Decomposition:
+    """The algebra's chain-product certificate; an algebra without one is broken."""
     try:
-        return decompose(algebra).digits
+        return decompose(algebra)
     except DecompositionError as exc:
         raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 
 
-def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
-    """Quotient by the congruence d(x, y) in I.
-
-    Returns (quotient algebra, projection): projection[x] is the class index
-    of carrier element x; classes are numbered by least member.  With g the
-    central generator of I, x's class is keyed by x (.) neg g = neg(neg x (+) g),
-    the projection of A = [0, g] x [0, neg g] onto [0, neg g] (O(n)).  The
-    certificate proves the keying a homomorphism, so the induced sum is well
-    defined: the key's digits must be x's digits with g's nonzero coordinates
-    set to 0 (O(n*k); an algebra without a certificate gets one from
-    `decompose`, O(k*n^2) once).  d(x, rep x) in I, the induced negation and
-    the projection kernel are checked in O(n); the quotient sum table costs
-    O(m^2) for m classes.
+def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
+    """The classes of the congruence d(x, y) in I, as read-only arrays:
+    class_of[x] is x's class, reps[c] the least member of class c (classes
+    are numbered by least member).  With g the central generator of I, x is
+    keyed by x (.) neg g = neg(neg x (+) g), the projection of
+    A = [0, g] x [0, neg g] onto [0, neg g].  The certificate proves the
+    keying a homomorphism: the key's digits must be x's digits with g's
+    nonzero coordinates set to 0 (O(n*k); an algebra without a certificate
+    gets one from `decompose`, O(k*n^2) once).  d(x, rep x) in I, the induced
+    negation and the kernel are checked in O(n); no table is built.
     """
     mask = _member_mask(algebra, ideal.members)
     g = _generator(algebra, mask)
     if g is None:
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    n = algebra.size
     O, N = algebra.oplus_table, algebra.neg_table
     key = N[O[N, g]]
-    if n > 1:
-        digits = _digits(algebra)
+    if algebra.size > 1:
+        digits = _certificate(algebra).digits
         if (digits[key] != digits * (digits[g] == 0)).any():
             raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rep = first[inverse]  # least member of the class of x
     reps, class_of = np.unique(rep, return_inverse=True)
-    if not mask[O[N[O[N, rep]], N[O[np.arange(n), N[rep]]]]].all():
+    if not mask[O[N[O[N, rep]], N[O[np.arange(algebra.size), N[rep]]]]].all():
         raise InternalConsistencyError("an element is not congruent to its class representative")
-
-    q_op = class_of[O[np.ix_(reps, reps)]]
-    q_neg = class_of[N[reps]]
-    if (class_of[N] != q_neg[class_of]).any():
+    if (class_of[N] != class_of[N[reps]][class_of]).any():
         raise InternalConsistencyError("induced negation is not well defined")
-
     if ((class_of == class_of[algebra.zero]) != mask).any():
         raise InternalConsistencyError("projection kernel differs from the ideal")
+    return _frozen(class_of.astype(np.int32)), _frozen(reps)
 
-    labels = None
-    if algebra.labels is not None:
-        labels = tuple(f"[{algebra.label(int(r))}]" for r in reps)
-    result = FiniteMVAlgebra(len(reps), int(class_of[algebra.zero]), q_op, q_neg, labels)
-    return result, tuple(class_of.tolist())
+
+def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:
+    """The quotient on `classes`' output, O(m^2) for m classes, with its
+    certificate: the classes of the atoms outside the ideal (ascending), their
+    chain orders and the representatives' digits there (O(m*k))."""
+    O, N = algebra.oplus_table, algebra.neg_table
+    labels = None if algebra.labels is None else tuple(f"[{algebra.labels[r]}]" for r in reps)
+    zero = int(class_of[algebra.zero])
+    result = FiniteMVAlgebra(len(reps), zero, class_of[O[np.ix_(reps, reps)]], class_of[N[reps]], labels)
+    if len(reps) > 1:
+        cert = _certificate(algebra)
+        atom_class = class_of[list(cert.atoms)]
+        outside = np.flatnonzero(atom_class != zero)
+        outside = outside[np.argsort(atom_class[outside])]
+        result._cache["decomposition"] = Decomposition(
+            tuple(atom_class[outside].tolist()), tuple(cert.chain_orders[i] for i in outside),
+            _frozen(cert.digits[np.ix_(reps, outside)]))
+    return result
+
+
+def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
+    """Quotient by the congruence d(x, y) in I: (quotient algebra, projection),
+    projection[x] being x's class.  Cost: `classes` plus O(m^2) for m classes."""
+    class_of, reps = classes(algebra, ideal)
+    return _quotient_algebra(algebra, class_of, reps), tuple(class_of.tolist())
 
 
 def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
@@ -290,7 +305,7 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     if mask.all():
         raise PreconditionError("the improper ideal has no maximal decomposition")
 
-    digits = _digits(algebra)
+    digits = _certificate(algebra).digits
     zero_sets = digits[:, (digits[mask] == 0).all(axis=0)] == 0
     if (zero_sets.all(axis=1) != mask).any():
         raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")

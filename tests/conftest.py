@@ -10,14 +10,18 @@ from the distance term and their induced sum checked at all n^2 pairs
 `decompose` on re-validated tables, products by one strided gather per factor, table
 axioms by the exhaustive sweep (associativity by a loop over z),
 isomorphism testing searches for an explicit bijective
-homomorphism, completion threads are found by a backtracking search, and
-lattice facts are recomputed from the numeric order of chain elements.
+homomorphism, completion threads are found by a backtracking search, the
+inverse system is built eagerly with every transition checked at every
+comparable pair, the center correspondence is checked element by element
+with dict-built maps, and lattice facts are recomputed from the numeric
+order of chain elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -135,9 +139,11 @@ def classify_by_scan(algebra, members, ideals):
 
 def maximal_decomposition_by_quotient(algebra, members):
     """Decompose the quotient into chains and pull the kernel of each chain
-    projection back through the quotient projection; sorted member sets."""
+    projection back through the quotient projection; sorted member sets.
+    The quotient's tables are decomposed afresh, not through the certificate
+    `quotient` attaches (projected from the one maximal_decomposition reads)."""
     quot, proj = mv.quotient(algebra, mv.Ideal(algebra, members))
-    dec = mv.decompose(quot)
+    dec = mv.decompose(mv.FiniteMVAlgebra(quot.size, quot.zero, quot.oplus_table, quot.neg_table))
     proj_arr = np.asarray(proj, dtype=np.int32)
     result = []
     for i in range(len(dec.chain_orders)):
@@ -407,6 +413,117 @@ def threads_by_search(system):
     extend(0)
     threads.sort()
     return threads
+
+
+def inverse_system_by_all_pairs(algebra):
+    """Every quotient table built, projections as tuples of tuples, and each
+    transition read off at the least member of every class and checked well
+    defined (proj_j == t_ij o proj_i) at every comparable pair."""
+    lattice = mv.ideals.ideal_lattice(algebra)
+    quotients, projections, reps = [], [], []
+    for ideal in lattice.ideals:
+        q, proj = mv.quotient(algebra, ideal)
+        quotients.append(q)
+        projections.append(np.asarray(proj, dtype=np.int32))
+        reps.append(np.unique(projections[-1], return_index=True)[1])
+
+    transitions = {}
+    for i, j in zip(*np.nonzero(lattice.subset)):
+        t = projections[j][reps[i]]
+        if (projections[j] != t[projections[i]]).any():
+            raise mv.InternalConsistencyError("transition map is not well defined")
+        transitions[(int(i), int(j))] = t
+    return types.SimpleNamespace(
+        ideals=lattice.ideals, quotients=tuple(quotients),
+        projections=tuple(tuple(int(c) for c in p) for p in projections),
+        transitions=transitions, subset=lattice.subset)
+
+
+def center_correspondence_by_loops(algebra):
+    """The center correspondence report from dict-built maps: psi from member
+    sets, each theta_i element by element with its homomorphism property at
+    all m^2 pairs, and the squares at every comparable pair."""
+    system = inverse_system_by_all_pairs(algebra)
+    ideals_a = system.ideals
+    k = len(ideals_a)
+    center, emb = mv.center_algebra(algebra)
+    pos_in_center = {a: c for c, a in enumerate(emb)}
+    lattice_c = mv.ideals.ideal_lattice(center)
+
+    psi = [frozenset(pos_in_center[m] for m in ideal.members if m in pos_in_center)
+           for ideal in ideals_a]
+    psi_pos = [lattice_c.index.get(mem) for mem in psi]
+    well_defined = None not in psi_pos
+    injective = len(set(psi)) == k
+    surjective = set(psi) == set(lattice_c.index)
+    preserves = reverses = False
+    if well_defined:
+        through_psi = lattice_c.subset[np.ix_(psi_pos, psi_pos)]
+        preserves = bool((through_psi | ~system.subset).all())
+        reverses = bool((system.subset | ~through_psi).all())
+
+    thetas = [None] * k
+    node = []
+    isos_ok = well_defined
+    for i in range(k):
+        quot_ai = system.quotients[i]
+        proj_ai = system.projections[i]
+        center_q, emb_q = mv.center_algebra(quot_ai)
+        pos_q = {a: c for c, a in enumerate(emb_q)}
+        quot_c, proj_c = mv.quotient(center, mv.make_ideal(center, psi[i]))
+        node.append((proj_c, np.unique(proj_c, return_index=True)[1], emb_q, pos_q))
+
+        theta = [None] * quot_c.size
+        ok_i = True
+        for c in range(center.size):
+            u = proj_c[c]
+            image = proj_ai[emb[c]]
+            if image not in pos_q:
+                ok_i = False
+                break
+            t = pos_q[image]
+            if theta[u] is None:
+                theta[u] = t
+            elif theta[u] != t:
+                ok_i = False
+                break
+        ok_i = ok_i and None not in theta
+        ok_i = ok_i and len(set(theta)) == quot_c.size == center_q.size
+        if ok_i:
+            ok_i = theta[quot_c.zero] == center_q.zero
+            ok_i = ok_i and all(
+                theta[quot_c.op(u, v)] == center_q.op(theta[u], theta[v])
+                for u in range(quot_c.size) for v in range(quot_c.size)
+            )
+            ok_i = ok_i and all(
+                theta[quot_c.neg(u)] == center_q.neg(theta[u])
+                for u in range(quot_c.size)
+            )
+        thetas[i] = theta
+        isos_ok = isos_ok and ok_i
+
+    squares = isos_ok
+    for i, j in zip(*np.nonzero(system.subset)) if isos_ok else ():
+        _, reps_c_i, emb_q_i, _ = node[i]
+        proj_c_j, _, _, pos_q_j = node[j]
+        trans_a = system.transitions[(i, j)]
+        squares = all(
+            thetas[j][proj_c_j[r]] == pos_q_j.get(int(trans_a[emb_q_i[thetas[i][u]]]))
+            for u, r in enumerate(reps_c_i))
+        if not squares:
+            break
+
+    return mv.CenterCorrespondenceReport(
+        ideal_count=k,
+        center_ideal_count=len(lattice_c.ideals),
+        psi_well_defined=well_defined,
+        psi_injective=injective,
+        psi_surjective=surjective,
+        psi_preserves_inclusion=preserves,
+        psi_reverses_inclusion=reverses,
+        quotient_isos_ok=isos_ok,
+        squares_ok=squares,
+    )
 
 
 def truncadd(x: Fraction, y: Fraction) -> Fraction:

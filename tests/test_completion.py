@@ -8,10 +8,17 @@ import sys
 import weakref
 
 import numpy as np
+import pytest
 
 import mvkit as mv
 
-from conftest import shuffled, threads_by_search
+from conftest import (
+    center_correspondence_by_loops,
+    certificate_by_revalidation,
+    inverse_system_by_all_pairs,
+    shuffled,
+    threads_by_search,
+)
 
 
 def L(n):
@@ -53,6 +60,55 @@ def test_transition_composition():
                 if system.subset[j, m]:
                     left = system.transitions[(j, m)][system.transitions[(i, j)]]
                     assert np.array_equal(left, system.transitions[(i, m)])
+
+
+def test_inverse_system_matches_all_pairs_oracle(family):
+    rng = random.Random(59)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        system = mv.build_inverse_system(A)
+        want = inverse_system_by_all_pairs(A)
+        assert [i.members for i in system.ideals] == [i.members for i in want.ideals], combo
+        assert system.projections.shape == (len(want.ideals), A.size)
+        assert system.projections.tolist() == [list(p) for p in want.projections], combo
+        assert len(system.quotients) == len(want.quotients)
+        for q, w in zip(system.quotients, want.quotients):
+            assert (q.size, q.zero, q.labels) == (w.size, w.zero, w.labels), combo
+            assert np.array_equal(q.oplus_table, w.oplus_table), combo
+            assert np.array_equal(q.neg_table, w.neg_table), combo
+        assert len(system.transitions) == len(want.transitions), combo
+        assert list(system.transitions) == list(want.transitions), combo
+        for pair, t in want.transitions.items():
+            assert np.array_equal(system.transitions[pair], t), (combo, pair)
+
+
+def test_transitions_outside_the_comparable_pairs_raise_key_error():
+    system = mv.build_inverse_system(mv.product([L(2), L(3)]))
+    k = len(system.ideals)
+    improper = k - 1
+    assert (0, improper) in system.transitions
+    for pair in ((improper, 0), (1, 2), (2, 1), (0, k), (-1, 0)):
+        assert pair not in system.transitions
+        with pytest.raises(KeyError):
+            system.transitions[pair]
+
+
+def test_quotients_carry_the_decompose_certificate(family):
+    rng = random.Random(61)
+    for combo, algebra in family:
+        for A in (algebra, shuffled(algebra, rng)):
+            for ideal in mv.all_ideals(A):
+                quot, _ = mv.quotient(A, ideal)
+                cert = quot._cache.get("decomposition")
+                if quot.size == 1:
+                    assert cert is None
+                    continue
+                assert (cert.atoms, cert.chain_orders, cert.iso) == \
+                    certificate_by_revalidation(quot), (combo, ideal)
+            completion = mv.profinite_completion(A).completion
+            cert = completion._cache["decomposition"]
+            assert (cert.atoms, cert.chain_orders, cert.iso) == \
+                certificate_by_revalidation(completion), combo
 
 
 def certified_threads(result):
@@ -177,6 +233,14 @@ def test_center_verifications_survive_relabeling():
         assert mv.verify_center_completion_commute(twisted).ok
 
 
+def test_center_correspondence_matches_loop_oracle(family):
+    rng = random.Random(67)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        assert vars(mv.verify_center_correspondence(A)) == \
+            vars(center_correspondence_by_loops(A)), combo
+
+
 def test_center_completion_examples():
     A = mv.product([L(2), L(3)])
     report = mv.verify_center_completion_commute(A)
@@ -199,11 +263,13 @@ def test_algebra_is_freed_without_the_cycle_collector():
         alg = mv.product([mv.chain_algebra(3), mv.chain_algebra(4)])
         for ideal in mv.all_ideals(alg):
             mv.classify(alg, ideal)
-        mv.build_inverse_system(alg)
+        system = mv.build_inverse_system(alg)
+        system.quotients[0]
+        system.transitions[(0, len(system.ideals) - 1)]
         mv.profinite_completion(alg)
         assert "ideal_lattice" in alg._cache
         ref = weakref.ref(alg)
-        del alg, ideal
+        del alg, ideal, system
         assert ref() is None
     finally:
         gc.enable()
