@@ -162,11 +162,9 @@ def parse_symbolic_element(doc, spec: IndexSpec) -> SymbolicElement:
     modulus = _int_field(doc, "modulus")
     values_doc = doc.get("class_values")
     _expect(isinstance(values_doc, list), "field 'class_values' must be a list")
-    values = []
-    for v in values_doc:
-        if v in (ZERO, TOP) or (isinstance(v, int) and not isinstance(v, bool)):
-            values.append(v)
-        else:
+    values = list(values_doc)
+    for v in values:
+        if not (v in (ZERO, TOP) or (isinstance(v, int) and not isinstance(v, bool))):
             raise SchemaError(f"class value {v!r} must be an integer, 'zero' or 'top'")
     prefix_doc = doc.get("prefix", {})
     _expect(isinstance(prefix_doc, dict), "field 'prefix' must be an object")
@@ -214,12 +212,8 @@ def symbolic_element_document(element: SymbolicElement) -> dict:
 
 
 def index_spec_document(spec: IndexSpec) -> dict:
-    classes = []
-    for cls in spec.classes:
-        if isinstance(cls, ConstClass):
-            classes.append({"kind": "const", "order": cls.order})
-        else:
-            classes.append({"kind": "unbounded", "step": cls.step, "start": cls.start})
+    classes = [{"kind": "const", "order": cls.order} if isinstance(cls, ConstClass)
+               else {"kind": "unbounded", "step": cls.step, "start": cls.start} for cls in spec.classes]
     index_set = {"kind": "infinite"} if spec.is_infinite else {"kind": "finite", "limit": spec.limit}
     return {
         "type": "full_product",
@@ -255,22 +249,15 @@ def _sorted_orders(algebra) -> list:
 # -- command handlers -------------------------------------------------------
 
 
-def _require_finite(parsed, command):
-    kind, value = parsed
-    if kind != "finite":
-        raise DomainError(
-            f"command {command!r} applies to finite presentations (tables or product); "
-            "got a full_product document")
-    return value
+_APPLIES = {"finite": "finite presentations (tables or product); got a full_product document",
+            "symbolic": "full_product documents; got a finite presentation"}
 
 
-def _require_symbolic(parsed, command):
-    kind, value = parsed
-    if kind != "symbolic":
-        raise DomainError(
-            f"command {command!r} applies to full_product documents; "
-            "got a finite presentation")
-    return value
+def _require(kind, parsed, command):
+    """The parsed value, when the document is of `kind` ("finite" or "symbolic")."""
+    if parsed[0] != kind:
+        raise DomainError(f"command {command!r} applies to {_APPLIES[kind]}")
+    return parsed[1]
 
 
 def cmd_verify(args, doc):
@@ -292,7 +279,7 @@ def cmd_verify(args, doc):
 
 
 def cmd_decompose(args, doc):
-    algebra = _require_finite(parse_algebra_document(doc, args.max_size), "decompose")
+    algebra = _require("finite", parse_algebra_document(doc, args.max_size), "decompose")
     dec = decompose(algebra)
     return {
         "atoms": list(dec.atoms),
@@ -304,13 +291,13 @@ def cmd_decompose(args, doc):
 
 
 def cmd_center(args, doc):
-    algebra = _require_finite(parse_algebra_document(doc, args.max_size), "center")
+    algebra = _require("finite", parse_algebra_document(doc, args.max_size), "center")
     members, atoms = boolean_center(algebra)
     return {"members": list(members), "atoms": list(atoms), "center_size": len(members)}, 0
 
 
 def cmd_ideals(args, doc):
-    algebra = _require_finite(parse_algebra_document(doc, args.max_size), "ideals")
+    algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
     out = []
     for ideal in all_ideals(algebra, args.max_size):
         cls = classify(algebra, ideal, args.max_size)
@@ -326,7 +313,7 @@ def cmd_ideals(args, doc):
 
 
 def cmd_quotient(args, doc):
-    algebra = _require_finite(parse_algebra_document(doc, args.max_size), "quotient")
+    algebra = _require("finite", parse_algebra_document(doc, args.max_size), "quotient")
     try:
         members = json.loads(args.ideal)
     except json.JSONDecodeError as exc:
@@ -376,7 +363,7 @@ def cmd_complete(args, doc):
 
 
 def cmd_decide_sc(args, doc):
-    spec = _require_symbolic(parse_algebra_document(doc, args.max_size), "decide-sc")
+    spec = _require("symbolic", parse_algebra_document(doc, args.max_size), "decide-sc")
     verdict = decide_strongly_complete(spec)
     payload = {
         "strongly_complete": verdict.strongly_complete,
@@ -386,7 +373,7 @@ def cmd_decide_sc(args, doc):
 
 
 def cmd_census(args, doc):
-    spec = _require_symbolic(parse_algebra_document(doc, args.max_size), "census")
+    spec = _require("symbolic", parse_algebra_document(doc, args.max_size), "census")
     _cap_window(spec.limit, "finite index set limit", args)
     window = args.principal_limit
     if window is None:
@@ -405,7 +392,7 @@ def cmd_census(args, doc):
 
 
 def cmd_limit(args, doc):
-    spec = _require_symbolic(parse_algebra_document(doc, args.max_size), "limit")
+    spec = _require("symbolic", parse_algebra_document(doc, args.max_size), "limit")
     try:
         element_doc = json.loads(args.element)
     except json.JSONDecodeError as exc:

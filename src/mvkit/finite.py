@@ -1,21 +1,23 @@
 """Finite MV-algebras presented by operation tables.
 
 Carriers are index sets {0..size-1}; the truncated sum is a size x size
-table and negation a size-vector, both held as read-only numpy integer
-arrays (all values are exact carrier indices, no floats).  The order matrix
-is the one derived n x n table, computed lazily and cached per algebra; the
+table and negation a size-vector, both held as read-only numpy arrays of
+exact carrier indices (no floats), in the narrowest dtype that holds them:
+uint16 up to size 65536, int32 above (`index_dtype`).  Every construction
+builds its tables once at that width.  The order matrix is the one
+derived n x n table, computed lazily and cached per algebra; the
 element-level join, meet and distance are O(1) formulas on the two tables,
 and a meet with a central a is the O(n) column neg(neg x (+) neg a).
 
 `from_tables` is the validating constructor.  Its one acceptance path is the
 chain decomposition as a certificate (a finite MV-algebra is a product of
 Lukasiewicz chains, and a bijective homomorphism onto such a product proves
-every axiom), in O(k*n^2) for k center atoms.  Only tables it refuses meet
-the axiom checks and the O(n^3) associativity sweep, which report the first
-failing axiom together with a witness.  Algebras produced internally
-(products, quotients, intervals) are valid by construction and are built
-without re-validation; the test suite re-validates representatives of every
-such construction.
+every axiom), in O(n^2) whatever the number of atoms.  Only tables it
+refuses meet the axiom checks and the O(n^3) associativity sweep, which
+report the first failing axiom together with a witness.  Algebras produced
+internally (products, quotients, intervals) are valid by construction and
+are built without re-validation; the test suite re-validates
+representatives of every such construction.
 
 The certificate (`Decomposition`: the center atoms, their chain orders and
 the n x k digit array) is cached on the algebra under "decomposition".
@@ -52,17 +54,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def index_dtype(n: int):
+    """uint16 while every index 0..n-1 fits, else int32 (`--max-size` may pass 65536)."""
+    return np.uint16 if n <= 65536 else np.int32
+
+
+def _wide(table, what: str) -> np.ndarray:
+    """`table` unnarrowed: lists are read at int64, past which is out of range."""
+    try:
+        return table if isinstance(table, np.ndarray) else np.asarray(table, dtype=np.int64)
+    except OverflowError:
+        raise SchemaError(f"{what} table contains out-of-range indices") from None
+
+
 class FiniteMVAlgebra:
     """A finite MV-algebra given by its truncated-sum and negation tables.
 
-    Immutable once built; the order matrix and the certificate are cached
-    lazily, so concurrent readers may compute one redundantly but never
-    observe a partial state.
+    The tables are read-only `index_dtype(size)` arrays, range-checked before
+    narrowing.  Immutable once built; the order matrix and the certificate
+    are cached lazily, so concurrent readers may compute one redundantly but
+    never observe a partial state.
     """
 
     def __init__(self, size, zero, oplus_table, neg_table, labels=None):
-        oplus = np.ascontiguousarray(oplus_table, dtype=np.int32)
-        neg = np.ascontiguousarray(neg_table, dtype=np.int32)
+        oplus, neg = _wide(oplus_table, "oplus"), _wide(neg_table, "neg")
         if size < 1:
             raise SchemaError(f"carrier size must be >= 1, got {size}")
         if oplus.shape != (size, size):
@@ -71,18 +86,18 @@ class FiniteMVAlgebra:
             raise SchemaError(f"neg table has shape {neg.shape}, expected {(size,)}")
         if not (0 <= zero < size):
             raise SchemaError(f"zero index {zero} out of range for size {size}")
-        if oplus.size and (oplus.min() < 0 or oplus.max() >= size):
-            raise SchemaError("oplus table contains out-of-range indices")
-        if neg.min() < 0 or neg.max() >= size:
-            raise SchemaError("neg table contains out-of-range indices")
+        # on the wide input, so the cast wraps nothing into range
+        for what, t in (("oplus", oplus), ("neg", neg)):
+            if t.max() >= size or t.dtype.kind != "u" and t.min() < 0:
+                raise SchemaError(f"{what} table contains out-of-range indices")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != size:
                 raise SchemaError(f"{len(labels)} labels for {size} elements")
         self.size = int(size)
         self.zero = int(zero)
-        self.oplus_table = _frozen(oplus)
-        self.neg_table = _frozen(neg)
+        self.oplus_table = _frozen(np.ascontiguousarray(oplus, dtype=index_dtype(size)))
+        self.neg_table = _frozen(np.ascontiguousarray(neg, dtype=index_dtype(size)))
         self.labels = labels
         self._cache = {}
 
@@ -136,12 +151,7 @@ class FiniteMVAlgebra:
 
 def as_tables(algebra: FiniteMVAlgebra):
     """Plain-list view (size, zero, oplus rows, neg row) for serialization."""
-    return (
-        algebra.size,
-        algebra.zero,
-        [[int(v) for v in row] for row in algebra.oplus_table],
-        [int(v) for v in algebra.neg_table],
-    )
+    return algebra.size, algebra.zero, algebra.oplus_table.tolist(), algebra.neg_table.tolist()
 
 
 # -- validating constructor ----------------------------------------------
@@ -153,9 +163,10 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
 
     Valid tables are accepted when `decompose` succeeds: a bijective
     (+, neg, 0)-homomorphism onto a product of Lukasiewicz chains carries
-    every axiom over, in O(k*n^2) for k center atoms (the certificate stays
-    cached on the algebra).  A one-element carrier is accepted outright.
-    Only tables the certificate refuses are checked axiom by axiom, in the
+    every axiom over, in O(n^2) whatever the number of atoms (the
+    certificate stays cached on the algebra).  A one-element carrier is
+    accepted outright.  Only tables the certificate refuses are checked
+    axiom by axiom, in the
     order commutative, identity, associative (the O(n^3) sweep), involution,
     mv1, mv2, to report the first failure.
 
@@ -174,40 +185,26 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
         alg._cache.clear()
 
     O, N = alg.oplus_table, alg.neg_table
-    n = alg.size
-    bad = np.argwhere(O != O.T)
-    if len(bad):
-        raise MVAxiomError("commutative", tuple(map(int, bad[0])))
-
-    bad = np.flatnonzero(O[alg.zero] != np.arange(n))
-    if len(bad):
-        raise MVAxiomError("identity", (int(bad[0]),))
-
-    for z in range(n):
+    idx = np.arange(alg.size)
+    _refuse("commutative", O != O.T)
+    _refuse("identity", O[alg.zero] != idx)
+    for z in range(alg.size):
         col = O[:, z]
-        left = col[O]        # (x (+) y) (+) z
-        right = O[:, col]    # x (+) (y (+) z)
-        bad = np.argwhere(left != right)
-        if len(bad):
-            x, y = map(int, bad[0])
-            raise MVAxiomError("associative", (x, y, z))
-
-    bad = np.flatnonzero(N[N] != np.arange(n))
-    if len(bad):
-        raise MVAxiomError("involution", (int(bad[0]),))
-
-    one = alg.one
-    bad = np.flatnonzero(O[one] != one)
-    if len(bad):
-        raise MVAxiomError("mv1", (int(bad[0]),))
-
+        _refuse("associative", col[O] != O[:, col], z)   # (x (+) y) (+) z against x (+) (y (+) z)
+    _refuse("involution", N[N] != idx)
+    _refuse("mv1", O[alg.one] != alg.one)
     # neg(neg x (+) y) (+) y is symmetric in (x, y) exactly when the second
     # MV identity holds, so the check is a transpose comparison.
-    L = O[N[O[N]], np.arange(n)[None, :]]
-    bad = np.argwhere(L != L.T)
-    if len(bad):
-        raise MVAxiomError("mv2", tuple(map(int, bad[0])))
+    L = O[N[O[N]], idx[None, :]]
+    _refuse("mv2", L != L.T)
     raise InternalConsistencyError("tables satisfy every axiom but have no chain decomposition")
+
+
+def _refuse(axiom, failed, *tail):
+    """MVAxiomError with the first True index of `failed`, then `tail`, as witness."""
+    bad = np.argwhere(failed)
+    if len(bad):
+        raise MVAxiomError(axiom, (*map(int, bad[0]), *tail))
 
 
 # -- basic constructions ---------------------------------------------------
@@ -226,23 +223,41 @@ def chain_algebra(order: int) -> FiniteMVAlgebra:
     """
     if order < 2:
         raise ValueError(f"chain order must be >= 2, got {order}")
-    idx = np.arange(order, dtype=np.int32)
-    oplus = np.minimum(idx[:, None] + idx[None, :], order - 1)
-    neg = (order - 1) - idx
     labels = tuple(str(Fraction(k, order - 1)) for k in range(order))
-    chain = FiniteMVAlgebra(order, 0, oplus, neg, labels)
-    chain._cache["decomposition"] = Decomposition((order - 1,), (order,), _frozen(idx[:, None].copy()))
+    neg = (order - 1) - np.arange(order, dtype=index_dtype(order))
+    chain = FiniteMVAlgebra(order, 0, _chain_sum(order), neg, labels)
+    digits = np.arange(order, dtype=np.int32)[:, None]
+    chain._cache["decomposition"] = Decomposition((order - 1,), (order,), _frozen(digits))
     return chain
+
+
+def _chain_sum(order: int) -> np.ndarray:
+    """The chain's sum table at its final width: min(x + y, top) = y + min(x, top - y)."""
+    idx = np.arange(order, dtype=index_dtype(order))
+    return np.minimum(idx[:, None], (order - 1) - idx) + idx
+
+
+def _fold(tables, dtype) -> np.ndarray:
+    """The product's sum (2-D) or negation (1-D) table, last factor fastest,
+    folded in from the last: t[:, None, :, None] * m + acc[None, :, None, :],
+    O(n^2) in all.  Each partial sum is a product index, so `dtype` holds it."""
+    ndim = tables[0].ndim
+    outer, inner = (slice(None), None) * ndim, (None, slice(None)) * ndim
+    acc = np.zeros((1,) * ndim, dtype=dtype)
+    for t in reversed(tables):
+        s, m = len(t), len(acc)
+        acc = (t.astype(dtype, copy=False)[outer] * dtype(m) + acc[inner]).reshape((s * m,) * ndim)
+    return acc
 
 
 def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Direct product with componentwise operations, last factor fastest; []
     gives the trivial algebra.
 
-    The factors are folded in from the last, the accumulated table being the
-    inner (contiguous) broadcast operand: one pass per factor, O(n^2) in all.
-    When every nontrivial factor carries a certificate, so does the product,
-    in O(n*k): an element's digits are its factors' digits, and each factor's
+    The factors are folded in directly in the result's `index_dtype`, one
+    broadcast pass per factor, O(n^2) in all (2^12 takes about 20 ms).  When
+    every nontrivial factor carries a certificate, so does the product, in
+    O(n*k): an element's digits are its factors' digits, and each factor's
     atoms sit with the other coordinates at their zero, sorted ascending
     (the certificate `decompose` would find).
     """
@@ -255,14 +270,10 @@ def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
         if max_size is not None and total > max_size:
             raise ResourceCapError(total, max_size)
 
-    oplus = np.zeros((1, 1), dtype=np.int32)
-    neg = np.zeros(1, dtype=np.int32)
-    zero = 0
-    for f in reversed(factors):
-        s, m = f.size, neg.size
-        oplus = (f.oplus_table[:, None, :, None] * m + oplus[None, :, None, :]).reshape(s * m, s * m)
-        neg = (f.neg_table[:, None] * m + neg[None, :]).reshape(s * m)
-        zero = f.zero * m + zero
+    dtype = index_dtype(total)
+    oplus = _fold([f.oplus_table for f in factors], dtype)
+    neg = _fold([f.neg_table for f in factors], dtype)
+    zero = int(np.ravel_multi_index([f.zero for f in factors], [f.size for f in factors]))
 
     labels = None
     if all(f.labels is not None for f in factors):
@@ -295,20 +306,16 @@ def _product_certificate(factors, total, zero):
 
 def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
     """The same algebra with carrier indices renamed by a bijection."""
-    perm = np.asarray(permutation, dtype=np.int32)
-    if sorted(perm.tolist()) != list(range(algebra.size)):
-        raise ValueError("relabeling must be a permutation of the carrier")
     n = algebra.size
-    oplus = np.empty((n, n), dtype=np.int32)
-    neg = np.empty(n, dtype=np.int32)
+    if sorted(np.asarray(permutation).tolist()) != list(range(n)):
+        raise ValueError("relabeling must be a permutation of the carrier")
+    perm = np.asarray(permutation, dtype=index_dtype(n))
+    oplus = np.empty((n, n), dtype=perm.dtype)
+    neg = np.empty(n, dtype=perm.dtype)
     oplus[np.ix_(perm, perm)] = perm[algebra.oplus_table]
     neg[perm] = perm[algebra.neg_table]
-    labels = None
-    if algebra.labels is not None:
-        labels = [None] * n
-        for x in range(n):
-            labels[int(perm[x])] = algebra.labels[x]
-        labels = tuple(labels)
+    # the new element y is the old perm^-1(y)
+    labels = None if algebra.labels is None else tuple(algebra.labels[x] for x in np.argsort(perm))
     return FiniteMVAlgebra(n, int(perm[algebra.zero]), oplus, neg, labels)
 
 
@@ -345,12 +352,16 @@ def center_algebra(algebra: FiniteMVAlgebra):
     Returns (center, embedding) with embedding[i] = carrier index in the
     ambient algebra of the center's element i.  When the algebra carries a
     certificate, the center gets one too: the same atoms, each of order 2,
-    and the digit 1 wherever the ambient digit is nonzero (O(|B|*k)).
+    and the digit 1 wherever the ambient digit is nonzero (O(|B|*k)).  Cached,
+    so `is_regular` and the center reports share one center and its lattice.
     """
+    if "center" in algebra._cache:
+        return algebra._cache["center"]
     members, _ = boolean_center(algebra)
-    emb = np.asarray(members, dtype=np.int32)
-    pos = np.full(algebra.size, -1, dtype=np.int32)
-    pos[emb] = np.arange(len(emb), dtype=np.int32)
+    emb = np.asarray(members)
+    # pos[emb[i]] = i; the rest is out of range, so reading one is refused
+    pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))
+    pos[emb] = np.arange(len(emb))
     oplus = pos[algebra.oplus_table[np.ix_(emb, emb)]]
     neg = pos[algebra.neg_table[emb]]
     labels = tuple(algebra.label(int(m)) for m in members) if algebra.labels else None
@@ -360,7 +371,8 @@ def center_algebra(algebra: FiniteMVAlgebra):
         sub._cache["decomposition"] = Decomposition(
             tuple(int(pos[a]) for a in cert.atoms), (2,) * len(cert.atoms),
             _frozen((cert.digits[emb] != 0).astype(np.int32)))
-    return sub, tuple(int(m) for m in members)
+    algebra._cache["center"] = sub, tuple(int(m) for m in members)
+    return algebra._cache["center"]
 
 
 def interval_algebra(algebra: FiniteMVAlgebra, a: int):
@@ -376,9 +388,9 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
             f"element {algebra.label(a)} is not in the Boolean center"
         )
     O, N = algebra.oplus_table, algebra.neg_table
-    emb = np.flatnonzero(algebra.leq_matrix[:, a]).astype(np.int32)
-    pos = np.full(algebra.size, -1, dtype=np.int32)
-    pos[emb] = np.arange(len(emb), dtype=np.int32)
+    emb = np.flatnonzero(algebra.leq_matrix[:, a])
+    pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))   # as in center_algebra
+    pos[emb] = np.arange(len(emb))
     meet_a = N[O[N, N[a]]]
     oplus = pos[meet_a[O[np.ix_(emb, emb)]]]
     neg = pos[meet_a[N[emb]]]
@@ -425,15 +437,14 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     """Split a nontrivial finite MV-algebra into its chain factors.
 
     A certificate already attached (by `chain_algebra`, `product`,
-    `center_algebra` or an earlier call) is read back.  Otherwise this
-    computes the atoms of the Boolean center, checks every interval below an
-    atom is totally ordered, and verifies pointwise that x -> (x ^ a_i)_i is
-    a bijective homomorphism onto the product of those chains: per atom a,
-    x ^ a = neg(neg x (+) neg a) in O(n) and the homomorphism check in O(n^2),
-    O(k*n^2) in all.  The negation check confines each digit to
-    0..order-1, so success proves the tables an MV-algebra, commutativity
-    and the identity included.  The result is cached on the algebra and
-    returned itself by later calls.
+    `center_algebra` or an earlier call) is read back.  Otherwise: the atoms
+    of the Boolean center, each interval below one totally ordered, x's digit
+    there the rank of x ^ a = neg(neg x (+) neg a); the negation and zero
+    checks confine digits to 0..order-1 and the mixed-radix codes must be
+    0..n-1 in some order, all O(n*k).  The sum is one comparison, code[x (+) y]
+    = P[code x, code y] for P the chain product's sum table (`product`'s
+    fold): O(n^2) whatever the number of atoms, about 0.1 s at n = 4096.
+    Success proves every axiom; the result is cached and returned later.
     """
     cert = algebra._cache.get("decomposition")
     if cert is not None:
@@ -445,38 +456,31 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     O, N = algebra.oplus_table, algebra.neg_table
     n = algebra.size
 
-    orders = []
-    digit_rows = []
+    orders, digit_rows = [], []
     for a in atoms:
         members = np.flatnonzero(leq[:, a])
         sub = leq[np.ix_(members, members)]
         if not (sub | sub.T).all():
             raise DecompositionError("not a product of chains: interval below an atom is not totally ordered")
         # position in the chain order = number of elements below (inclusive) - 1
-        ranks = sub.sum(axis=0) - 1
         lookup = np.full(n, -1, dtype=np.int32)
-        lookup[members] = ranks.astype(np.int32)
+        lookup[members] = sub.sum(axis=0) - 1
         digits = lookup[N[O[N, N[a]]]]
         order = len(members)
-
-        ok = (digits[O] == np.minimum(digits[:, None] + digits[None, :], order - 1)).all()
-        ok = ok and (digits[N] == (order - 1) - digits).all()
-        ok = ok and digits[algebra.zero] == 0
-        if not ok:
+        if not ((digits[N] == (order - 1) - digits).all() and digits[algebra.zero] == 0):
             raise DecompositionError("not a product of chains: coordinate map is not a homomorphism")
         orders.append(order)
         digit_rows.append(digits)
 
-    digits = np.stack(digit_rows, axis=1) if digit_rows else np.zeros((n, 0), dtype=np.int32)
-    # with prod(orders) = n, x -> digits[x] is a bijection onto the product
-    # exactly when the mixed-radix codes are 0..n-1 in some order
-    codes = np.zeros(n, dtype=np.int64)
-    for i, order in enumerate(orders):
-        codes = codes * order + digits[:, i]
-    if math.prod(orders) != n or (np.sort(codes) != np.arange(n)).any():
+    if math.prod(orders) != n or (np.sort(codes := np.ravel_multi_index(digit_rows, orders)) != np.arange(n)).any():
         raise DecompositionError("not a product of chains: coordinate map is not bijective")
+    code = codes.astype(index_dtype(n))
+    P = _fold([_chain_sum(order) for order in orders], index_dtype(n))
+    if not (code[O] == P[code[:, None], code]).all():
+        raise DecompositionError("not a product of chains: coordinate map is not a homomorphism")
 
-    cert = algebra._cache["decomposition"] = Decomposition(tuple(atoms), tuple(orders), _frozen(digits))
+    digits = _frozen(np.stack(digit_rows, axis=1))
+    cert = algebra._cache["decomposition"] = Decomposition(tuple(atoms), tuple(orders), digits)
     return cert
 
 

@@ -38,6 +38,7 @@ from .finite import (
     boolean_center,
     center_algebra,
     decompose,
+    index_dtype,
 )
 
 
@@ -82,23 +83,28 @@ class IdealClassification:
 
 
 def _member_mask(algebra, members) -> np.ndarray:
+    """The members as a bool mask, O(|I|) at C speed; reports the first out of range."""
+    members = tuple(members)
+    if min(members, default=0) < 0 or max(members, default=0) >= algebra.size:
+        x = next(x for x in members if not 0 <= x < algebra.size)
+        raise NotAnIdealError(f"element index {x} out of range")
     mask = np.zeros(algebra.size, dtype=bool)
-    for x in members:
-        if not 0 <= x < algebra.size:
-            raise NotAnIdealError(f"element index {x} out of range")
-        mask[x] = True
+    mask[np.fromiter(members, np.intp, len(members))] = True
     return mask
 
 
 def _generator(algebra: FiniteMVAlgebra, mask) -> int | None:
     """The (+)-fold g of the members when they are exactly the down-set of g
     and g (+) g = g, else None.  This holds iff they form an ideal: g is then
-    their join and lies in the ideal.  Cost O(n + |I|)."""
+    their join and lies in the ideal.  Cost O(n + |I|): the fold is |I| scalar
+    reads (below n = 125 faster than any whole-array fold tried), the down-set
+    {x : g (+) neg x = 1} one contiguous row of the table."""
     O = algebra.oplus_table
+    read = O.item
     g = algebra.zero
     for x in np.flatnonzero(mask).tolist():
-        g = int(O[g, x])
-    if O[g, g] != g or (mask != (O[algebra.neg_table, g] == algebra.one)).any():
+        g = read(g, x)
+    if O[g, g] != g or (mask != (O[g][algebra.neg_table] == algebra.one)).any():
         return None
     return g
 
@@ -239,7 +245,7 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
     A = [0, g] x [0, neg g] onto [0, neg g].  The certificate proves the
     keying a homomorphism: the key's digits must be x's digits with g's
     nonzero coordinates set to 0 (O(n*k); an algebra without a certificate
-    gets one from `decompose`, O(k*n^2) once).  d(x, rep x) in I, the induced
+    gets one from `decompose`, O(n^2) once).  d(x, rep x) in I, the induced
     negation and the kernel are checked in O(n); no table is built.
     """
     mask = _member_mask(algebra, ideal.members)
@@ -247,7 +253,7 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
     if g is None:
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     O, N = algebra.oplus_table, algebra.neg_table
-    key = N[O[N, g]]
+    key = N[O[g][N]]
     if algebra.size > 1:
         digits = _certificate(algebra).digits
         if (digits[key] != digits * (digits[g] == 0)).any():
@@ -261,7 +267,7 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
         raise InternalConsistencyError("induced negation is not well defined")
     if ((class_of == class_of[algebra.zero]) != mask).any():
         raise InternalConsistencyError("projection kernel differs from the ideal")
-    return _frozen(class_of.astype(np.int32)), _frozen(reps)
+    return _frozen(class_of.astype(index_dtype(algebra.size))), _frozen(reps)
 
 
 def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:

@@ -7,7 +7,8 @@ ideals, primality by a sweep over meets of non-members) and decomposed
 through a quotient, ideals are checked clause by clause, quotients are built
 from the distance term and their induced sum checked at all n^2 pairs
 (`check_induced_sum`), chain-product certificates are recomputed by
-`decompose` on re-validated tables, products by one strided gather per factor, table
+`decompose` on re-validated tables and checked a homomorphism one atom at a
+time (`decompose_by_atoms`), products by one strided gather per factor, table
 axioms by the exhaustive sweep (associativity by a loop over z),
 isomorphism testing searches for an explicit bijective
 homomorphism, completion threads are found by a backtracking search, the
@@ -20,6 +21,7 @@ order of chain elements.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -230,6 +232,38 @@ def certificate_by_revalidation(algebra):
     re-validated from scratch, with no certificate attached."""
     dec = mv.decompose(mv.from_tables(*mv.as_tables(algebra), max_size=None))
     return dec.atoms, dec.chain_orders, dec.iso
+
+
+def decompose_by_atoms(algebra):
+    """(atoms, chain orders, digits) of the chain decomposition with the sum
+    checked one atom at a time, digits[O] == min(digits + digits, order - 1)
+    for each atom's digit row (k n x n comparisons), then bijectivity by
+    mixed-radix codes; raises DecompositionError where that check fails."""
+    _, atoms = mv.boolean_center(algebra)
+    leq = algebra.leq_matrix
+    O, N = algebra.oplus_table.astype(np.int64), algebra.neg_table.astype(np.int64)
+    n = algebra.size
+    orders, rows = [], []
+    for a in atoms:
+        members = np.flatnonzero(leq[:, a])
+        sub = leq[np.ix_(members, members)]
+        if not (sub | sub.T).all():
+            raise mv.DecompositionError("interval below an atom is not totally ordered")
+        lookup = np.full(n, -1, dtype=np.int64)
+        lookup[members] = sub.sum(axis=0) - 1
+        digits = lookup[N[O[N, N[a]]]]
+        order = len(members)
+        if not ((digits[O] == np.minimum(digits[:, None] + digits[None, :], order - 1)).all()
+                and (digits[N] == (order - 1) - digits).all() and digits[algebra.zero] == 0):
+            raise mv.DecompositionError("coordinate map is not a homomorphism")
+        orders.append(order)
+        rows.append(digits)
+    codes = np.zeros(n, dtype=np.int64)
+    for order, digits in zip(orders, rows):
+        codes = codes * order + digits
+    if math.prod(orders) != n or sorted(codes.tolist()) != list(range(n)):
+        raise mv.DecompositionError("coordinate map is not bijective")
+    return tuple(atoms), tuple(orders), np.stack(rows, axis=1)
 
 
 def product_by_gather(factors, max_size=mv.DEFAULT_MAX_SIZE):

@@ -364,6 +364,22 @@ def test_malformed_tables_messages(capsys, change, message):
     assert code == 3 and report["error"] == {"kind": "schema", "message": message}
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "ideals"])
+@pytest.mark.parametrize("field", ["oplus", "neg"])
+@pytest.mark.parametrize("entry", [-1, 2, 65536, 2**31, 2**70])
+def test_out_of_range_table_entries_exit_3(capsys, command, field, entry):
+    """-1 and n = 2 are just out of range, 65536 just past uint16, 2^31 past
+    int32 and 2^70 past int64: each is a schema report, never a traceback."""
+    doc = json.loads(json.dumps(TABLES_23))
+    if field == "oplus":
+        doc["oplus"][1][1] = entry
+    else:
+        doc["neg"][1] = entry
+    code, report = invoke(capsys, command, doc)
+    assert code == 3 and report["error"] == {
+        "kind": "schema", "message": f"{field} table contains out-of-range indices"}
+
+
 @pytest.mark.parametrize("ideal", ["[true]", "[0, 1.0]", "[\"0\"]", "{}"])
 def test_quotient_ideal_must_be_index_list(capsys, ideal):
     code, report = invoke(capsys, "quotient", PRODUCT_23, "--ideal", ideal)

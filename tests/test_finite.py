@@ -21,7 +21,9 @@ from conftest import (
     SWEEP_ORDER,
     axiom_failure_by_sweep,
     build_family,
+    bundled_specs,
     certificate_by_revalidation,
+    decompose_by_atoms,
     exists_isomorphism,
     product_by_gather,
     shuffled,
@@ -93,6 +95,86 @@ def test_malformed_tables_raise_schema_errors():
         mv.from_tables(2, 3, [[0, 1], [1, 1]], [1, 0])    # bad zero
     with pytest.raises(SchemaError):
         mv.from_tables(2, 0, [[0, 1], [1, 1]], [1, 0], labels=("a",))
+
+
+@pytest.mark.parametrize("entry", [-1, 2, 65536, 2**31, 2**70, -10**20])
+def test_out_of_range_entries_raise_schema_errors_before_narrowing(entry):
+    """Checked on the wide input: no entry wraps into range on the cast to
+    uint16, and none beyond int64 escapes as an OverflowError."""
+    for oplus, neg, what in (([[0, 1], [1, entry]], [1, 0], "oplus"), ([[0, 1], [1, 1]], [1, entry], "neg")):
+        with pytest.raises(SchemaError, match=f"{what} table contains out-of-range indices"):
+            mv.from_tables(2, 0, oplus, neg)
+        if -2**63 <= entry < 2**63:
+            with pytest.raises(SchemaError, match=what):
+                mv.FiniteMVAlgebra(2, 0, np.array(oplus), np.array(neg))
+
+
+def test_index_dtype_is_uint16_up_to_65536_elements():
+    assert mv.finite.index_dtype(1) == np.uint16
+    assert mv.finite.index_dtype(65536) == np.uint16
+    assert mv.finite.index_dtype(65537) == np.int32
+
+
+def test_every_construction_builds_uint16_tables():
+    L2, L3 = mv.chain_algebra(2), mv.chain_algebra(3)
+    A = mv.product([L2, L3])
+    half = A.labels.index("(1,0)")   # central, with [0, half] = L2
+    _, spec = next(iter(bundled_specs()))
+    built = {
+        "from_tables lists": mv.from_tables(*mv.as_tables(A)),
+        "from_tables int64": mv.from_tables(A.size, A.zero, A.oplus_table.astype(np.int64),
+                                            A.neg_table.astype(np.int64)),
+        "chain_algebra": L3,
+        "product": A,
+        "relabel": mv.relabel(A, [5, 3, 1, 0, 2, 4]),
+        "quotient": mv.quotient(A, mv.generated_ideal(A, {half}))[0],
+        "center_algebra": mv.center_algebra(A)[0],
+        "interval_algebra": mv.interval_algebra(A, half)[0],
+        "truncate": mv.truncate(spec, 3),
+    }
+    for name, algebra in built.items():
+        assert algebra.oplus_table.dtype == np.uint16, name
+        assert algebra.neg_table.dtype == np.uint16, name
+        assert not algebra.oplus_table.flags.writeable, name
+
+
+def test_decompose_matches_per_atom_oracle(family):
+    """The one-gather sum check finds the per-atom oracle's atoms, orders and
+    digits on every shuffled family algebra, and refuses exactly the seeded
+    single-entry corruptions the oracle refuses."""
+    rng = random.Random(20261019)
+
+    def outcome(decomposer, n, zero, oplus, neg):
+        try:
+            found = decomposer(mv.FiniteMVAlgebra(n, zero, oplus, neg))
+        except (DecompositionError, InternalConsistencyError) as exc:
+            return type(exc).__name__
+        if isinstance(found, mv.Decomposition):
+            found = found.atoms, found.chain_orders, found.digits
+        atoms, orders, digits = found
+        return atoms, orders, digits.tolist()
+
+    refused = 0
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        n, zero = A.size, A.zero
+        oplus, neg = np.array(A.oplus_table), np.array(A.neg_table)
+        want = outcome(decompose_by_atoms, n, zero, oplus, neg)
+        assert outcome(mv.decompose, n, zero, oplus, neg) == want, combo
+        for kind in ("symmetric", "asymmetric", "neg"):
+            for _ in range(4):
+                bad_oplus, bad_neg = oplus.copy(), neg.copy()
+                x, y = rng.randrange(n), rng.randrange(n)
+                if kind == "neg":
+                    bad_neg[x] = rng.choice([w for w in range(n) if w != neg[x]])
+                else:
+                    bad_oplus[x, y] = rng.choice([w for w in range(n) if w != oplus[x, y]])
+                    if kind == "symmetric":
+                        bad_oplus[y, x] = bad_oplus[x, y]
+                want = outcome(decompose_by_atoms, n, zero, bad_oplus, bad_neg)
+                refused += want == "DecompositionError"
+                assert outcome(mv.decompose, n, zero, bad_oplus, bad_neg) == want, (combo, kind, x, y)
+    assert refused > 100
 
 
 def test_each_axiom_detected():

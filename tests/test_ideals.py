@@ -245,6 +245,32 @@ def test_non_ideals_rejected():
         mv.make_ideal(A, [0, 99])
 
 
+def test_member_mask_matches_the_loop_it_replaced():
+    """The whole-array mask equals the per-member loop, and an out-of-range
+    index is reported as the loop did: the first one in iteration order."""
+    from mvkit.ideals import _member_mask
+
+    def loop_mask(n, members):
+        mask = np.zeros(n, dtype=bool)
+        for x in members:
+            if not 0 <= x < n:
+                return f"element index {x} out of range"
+            mask[x] = True
+        return mask.tolist()
+
+    A = mv.product([L(2), L(3)])
+    rng = random.Random(41)
+    for _ in range(300):
+        members = [rng.choice([-2**70, -1, 0, 3, 5, 6, 2**40]) if rng.random() < 0.2 else rng.randrange(6)
+                   for _ in range(rng.randrange(5))]
+        for container in (list, frozenset, iter):
+            try:
+                got = _member_mask(A, container(members)).tolist()
+            except NotAnIdealError as exc:
+                got = str(exc)
+            assert got == loop_mask(A.size, container(members)), members
+
+
 def test_quotient_guards_table_corruption():
     import numpy as np
 
