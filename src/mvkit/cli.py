@@ -162,9 +162,11 @@ def parse_symbolic_element(doc, spec: IndexSpec) -> SymbolicElement:
     modulus = _int_field(doc, "modulus")
     values_doc = doc.get("class_values")
     _expect(isinstance(values_doc, list), "field 'class_values' must be a list")
-    values = list(values_doc)
-    for v in values:
-        if not (v in (ZERO, TOP) or (isinstance(v, int) and not isinstance(v, bool))):
+    values = []
+    for v in values_doc:
+        if v in (ZERO, TOP) or (isinstance(v, int) and not isinstance(v, bool)):
+            values.append(v)
+        else:
             raise SchemaError(f"class value {v!r} must be an integer, 'zero' or 'top'")
     prefix_doc = doc.get("prefix", {})
     _expect(isinstance(prefix_doc, dict), "field 'prefix' must be an object")
@@ -212,8 +214,12 @@ def symbolic_element_document(element: SymbolicElement) -> dict:
 
 
 def index_spec_document(spec: IndexSpec) -> dict:
-    classes = [{"kind": "const", "order": cls.order} if isinstance(cls, ConstClass)
-               else {"kind": "unbounded", "step": cls.step, "start": cls.start} for cls in spec.classes]
+    classes = []
+    for cls in spec.classes:
+        if isinstance(cls, ConstClass):
+            classes.append({"kind": "const", "order": cls.order})
+        else:
+            classes.append({"kind": "unbounded", "step": cls.step, "start": cls.start})
     index_set = {"kind": "infinite"} if spec.is_infinite else {"kind": "finite", "limit": spec.limit}
     return {
         "type": "full_product",
@@ -263,9 +269,7 @@ def _require(kind, parsed, command):
 def cmd_verify(args, doc):
     _expect(isinstance(doc, dict), "algebra document must be a JSON object")
     if doc.get("type") == "full_product":
-        raise DomainError(
-            "command 'verify' applies to finite presentations (tables or product); "
-            "got a full_product document")
+        raise DomainError(f"command 'verify' applies to {_APPLIES['finite']}")
     try:
         kind, algebra = parse_algebra_document(doc, args.max_size)
     except MVAxiomError as exc:

@@ -28,7 +28,7 @@ from .finite import (
     are_isomorphic,
     center_algebra,
 )
-from .ideals import _quotient_algebra, classes, ideal_lattice, is_regular
+from .ideals import _is_regular, _quotient_algebra, classes, ideal_lattice
 
 
 class _Quotients(Sequence):
@@ -197,12 +197,12 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     I_S), so the squares are checked on covering pairs |S_j| = |S_i| + 1
     only: both sides' transitions compose.
     """
-    if not is_regular(algebra, max_size):
+    center, emb = center_algebra(algebra)
+    if not _is_regular(algebra, center, emb, max_size):
         raise PreconditionError("center correspondence requires a regular algebra")
 
     system = build_inverse_system(algebra, max_size)
     generators = ideal_lattice(algebra, max_size).generators
-    center, emb = center_algebra(algebra)
     emb = np.asarray(emb)
     lattice_c = ideal_lattice(center, max_size)
     center_node = np.full(algebra.size, -1)
@@ -270,11 +270,11 @@ class CenterCompletionReport:
 def verify_center_completion_commute(algebra: FiniteMVAlgebra,
                                      max_size=DEFAULT_MAX_SIZE) -> CenterCompletionReport:
     """Compare B(completion of A) with the completion of B(A), both computed."""
-    if not is_regular(algebra, max_size):
+    center, emb = center_algebra(algebra)
+    if not _is_regular(algebra, center, emb, max_size):
         raise PreconditionError("center/completion comparison requires a regular algebra")
     completed = profinite_completion(algebra, max_size).completion
     center_of_completion, _ = center_algebra(completed)
-    center, _ = center_algebra(algebra)
     completed_center = profinite_completion(center, max_size).completion
     return CenterCompletionReport(
         center_of_completion_size=center_of_completion.size,

@@ -166,9 +166,8 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     every axiom over, in O(n^2) whatever the number of atoms (the
     certificate stays cached on the algebra).  A one-element carrier is
     accepted outright.  Only tables the certificate refuses are checked
-    axiom by axiom, in the
-    order commutative, identity, associative (the O(n^3) sweep), involution,
-    mv1, mv2, to report the first failure.
+    axiom by axiom, in the order commutative, identity, associative (the
+    O(n^3) sweep), involution, mv1, mv2, to report the first failure.
 
     Raises MVAxiomError naming the first failed axiom and a witness tuple;
     structural problems raise SchemaError, oversize carriers ResourceCapError.
@@ -240,11 +239,12 @@ def _chain_sum(order: int) -> np.ndarray:
 def _fold(tables, dtype) -> np.ndarray:
     """The product's sum (2-D) or negation (1-D) table, last factor fastest,
     folded in from the last: t[:, None, :, None] * m + acc[None, :, None, :],
-    O(n^2) in all.  Each partial sum is a product index, so `dtype` holds it."""
+    O(n^2) in all.  Each partial sum is a product index, so `dtype` holds it;
+    one-element factors are the identity and skipped, so m does too."""
     ndim = tables[0].ndim
     outer, inner = (slice(None), None) * ndim, (None, slice(None)) * ndim
     acc = np.zeros((1,) * ndim, dtype=dtype)
-    for t in reversed(tables):
+    for t in reversed([t for t in tables if len(t) > 1]):
         s, m = len(t), len(acc)
         acc = (t.astype(dtype, copy=False)[outer] * dtype(m) + acc[inner]).reshape((s * m,) * ndim)
     return acc
@@ -352,27 +352,17 @@ def center_algebra(algebra: FiniteMVAlgebra):
     Returns (center, embedding) with embedding[i] = carrier index in the
     ambient algebra of the center's element i.  When the algebra carries a
     certificate, the center gets one too: the same atoms, each of order 2,
-    and the digit 1 wherever the ambient digit is nonzero (O(|B|*k)).  Cached,
-    so `is_regular` and the center reports share one center and its lattice.
+    and the digit 1 wherever the ambient digit is nonzero (O(|B|*k)).
     """
-    if "center" in algebra._cache:
-        return algebra._cache["center"]
     members, _ = boolean_center(algebra)
     emb = np.asarray(members)
-    # pos[emb[i]] = i; the rest is out of range, so reading one is refused
-    pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))
-    pos[emb] = np.arange(len(emb))
-    oplus = pos[algebra.oplus_table[np.ix_(emb, emb)]]
-    neg = pos[algebra.neg_table[emb]]
-    labels = tuple(algebra.label(int(m)) for m in members) if algebra.labels else None
-    sub = FiniteMVAlgebra(len(members), int(pos[algebra.zero]), oplus, neg, labels)
+    sub, pos = _subalgebra(algebra, emb, algebra.oplus_table[np.ix_(emb, emb)], algebra.neg_table[emb])
     cert = algebra._cache.get("decomposition")
     if cert is not None:
         sub._cache["decomposition"] = Decomposition(
             tuple(int(pos[a]) for a in cert.atoms), (2,) * len(cert.atoms),
             _frozen((cert.digits[emb] != 0).astype(np.int32)))
-    algebra._cache["center"] = sub, tuple(int(m) for m in members)
-    return algebra._cache["center"]
+    return sub, tuple(int(m) for m in members)
 
 
 def interval_algebra(algebra: FiniteMVAlgebra, a: int):
@@ -389,14 +379,19 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
         )
     O, N = algebra.oplus_table, algebra.neg_table
     emb = np.flatnonzero(algebra.leq_matrix[:, a])
-    pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))   # as in center_algebra
-    pos[emb] = np.arange(len(emb))
     meet_a = N[O[N, N[a]]]
-    oplus = pos[meet_a[O[np.ix_(emb, emb)]]]
-    neg = pos[meet_a[N[emb]]]
-    labels = tuple(algebra.label(int(m)) for m in emb) if algebra.labels else None
-    sub = FiniteMVAlgebra(len(emb), int(pos[algebra.zero]), oplus, neg, labels)
+    sub, _ = _subalgebra(algebra, emb, meet_a[O[np.ix_(emb, emb)]], meet_a[N[emb]])
     return sub, tuple(int(m) for m in emb)
+
+
+def _subalgebra(algebra, emb, oplus, neg):
+    """The algebra on the elements `emb`, its sum and negation given in the
+    ambient indices, and pos with pos[emb[i]] = i (the rest out of range, so
+    reading one is refused)."""
+    pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))
+    pos[emb] = np.arange(len(emb))
+    labels = tuple(algebra.label(int(m)) for m in emb) if algebra.labels else None
+    return FiniteMVAlgebra(len(emb), int(pos[algebra.zero]), pos[oplus], pos[neg], labels), pos
 
 
 # -- decomposition into chains ---------------------------------------------

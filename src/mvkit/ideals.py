@@ -322,7 +322,11 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
 def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?
     Both primality tests read lattice flags; cost: the two lattice passes."""
-    center, emb = center_algebra(algebra)
+    return _is_regular(algebra, *center_algebra(algebra), max_size)
+
+
+def _is_regular(algebra, center, emb, max_size) -> bool:
+    """`is_regular` on an already built (center, embedding) pair."""
     center_core = _lattice_core(center, max_size)
     core = _lattice_core(algebra, None)
     for members, prime in zip(center_core.members, center_core.prime):

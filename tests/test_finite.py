@@ -115,6 +115,19 @@ def test_index_dtype_is_uint16_up_to_65536_elements():
     assert mv.finite.index_dtype(65537) == np.int32
 
 
+def test_fold_skips_one_element_factors_at_the_uint16_limit():
+    # the negation fold of [trivial] + [L2] * 16: 65536 elements, the largest
+    # uint16 carrier, where scaling by the one-element factor's partial size
+    # (65536) would overflow; 1-D only, so no table of that size is built
+    neg2 = mv.chain_algebra(2).neg_table
+    trivial = mv.trivial_algebra().neg_table
+    for tables in ([trivial] + [neg2] * 16, [neg2] * 8 + [trivial] + [neg2] * 8):
+        got = mv.finite._fold(tables, np.uint16)
+        assert got.dtype == np.uint16
+        assert (got == np.arange(65536)[::-1]).all()
+    assert mv.finite._fold([trivial, trivial], np.uint16).tolist() == [0]
+
+
 def test_every_construction_builds_uint16_tables():
     L2, L3 = mv.chain_algebra(2), mv.chain_algebra(3)
     A = mv.product([L2, L3])
