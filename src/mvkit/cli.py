@@ -302,17 +302,9 @@ def cmd_center(args, doc):
 
 def cmd_ideals(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
-    out = []
-    for ideal in all_ideals(algebra, args.max_size):
-        cls = classify(algebra, ideal, args.max_size)
-        out.append({
-            "members": list(ideal.sorted_members),
-            "proper": cls.proper,
-            "prime": cls.prime,
-            "maximal": cls.maximal,
-            "rank": cls.rank,
-            "principal_generator": cls.principal_generator,
-        })
+    # the flags are read off the lattice: proper, prime, maximal, rank, principal_generator
+    out = [{"members": list(ideal.sorted_members), **vars(classify(algebra, ideal, args.max_size))}
+           for ideal in all_ideals(algebra, args.max_size)]
     return {"count": len(out), "ideals": out}, 0
 
 
@@ -472,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_document(path):
     try:
         text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read document: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 
@@ -489,15 +481,19 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
+def _schema_report(command, message) -> int:
+    """A schema error reported on stdout, for when there is no usable `--out`."""
+    _emit({"version": SCHEMA_VERSION, "command": command,
+           "error": {"kind": "schema", "message": message}}, None)
+    return 3
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
     except SchemaError as exc:
-        report = {"version": SCHEMA_VERSION, "command": argv[0] if argv else None,
-                  "error": {"kind": "schema", "message": str(exc)}}
-        _emit(report, None)
-        return 3
+        return _schema_report(argv[0] if argv else None, str(exc))
     report = {"version": SCHEMA_VERSION, "command": args.command}
     try:
         for flag, cap in (("--max-size", args.max_size), ("--max-truncation", args.max_truncation)):
@@ -514,7 +510,10 @@ def run(argv=None) -> int:
     except DomainError as exc:
         report["error"] = {"kind": "domain", "message": str(exc)}
         code = 2
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        return _schema_report(args.command, f"cannot write the report: {exc}")
     return code
 
 

@@ -1,17 +1,14 @@
 """Profinite completion of a finite MV-algebra as an explicit inverse limit.
 
-The index poset is every ideal under reverse inclusion (the improper ideal
-adds one forced coordinate, its trivial quotient).  Under the chain-product
-certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
-the projection onto the other coordinates and each transition a further
+The index poset is every ideal under reverse inclusion.  Under the
+chain-product certificate an ideal is a coordinate set S, A/I_S the
+projection onto the other coordinates and each transition a further
 projection: the system is one array of class indices, and quotient tables
 and transitions are built only when read.  The completion is its value at
-the zero ideal, the least node, where the threads are certified.
-
-Two reports cover the Boolean center on regular algebras: the ideal
-correspondence I -> I n B(A) with the induced quotient isomorphisms and
-their commuting squares (array checks on the two lattices), and the center
-of the completion against the completion of the center.
+the zero ideal, the least node.  Two reports cover the Boolean center on
+regular algebras: the ideal correspondence I -> I n B(A) with the induced
+quotient isomorphisms, and the center of the completion against the
+completion of the center.
 """
 
 from __future__ import annotations
@@ -27,8 +24,17 @@ from .finite import (
     FiniteMVAlgebra,
     are_isomorphic,
     center_algebra,
+    index_dtype,
 )
-from .ideals import _is_regular, _quotient_algebra, classes, ideal_lattice
+from .ideals import (
+    _certificate,
+    _is_regular,
+    _number_classes,
+    _quotient_algebra,
+    ideal_lattice,
+)
+
+CHUNK = 1 << 19  # entries per batch of class keys
 
 
 class _Quotients(Sequence):
@@ -68,7 +74,7 @@ class InverseSystem:
 
     `ideals[i]` is the i-th poset node (canonical all_ideals order) and
     `subset[i, j]` says ideals[i] <= ideals[j].  `projections` is a read-only
-    k x n int32 array, projections[i][x] the class of x in A/ideals[i]
+    k x n `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
     (classes numbered by least member, reps[i][c] the least member of c).
     `quotients[i]` (O(m^2)) and `transitions[(i, j)]` (O(m), defined when
     ideals[i] <= ideals[j], else KeyError) are built on each read and not
@@ -90,20 +96,30 @@ class InverseSystem:
 
 def build_inverse_system(algebra: FiniteMVAlgebra,
                          max_size=DEFAULT_MAX_SIZE) -> InverseSystem:
-    """Every ideal's projection, one `classes` call per node.
+    """Every ideal's projection, in one batched pass.
 
-    k ideals over n elements with a chain factors cost O(k*n*(a + log n))
-    and a k x n array; no quotient table is built.  No transition is
-    checked: when ideals[i] <= ideals[j], node j's key digits are a sub-tuple
-    of node i's and `classes` pins each key to those digits, so
-    proj_j = t_ij o proj_i, which (the projections being onto) makes t_ij
-    onto, t_ii = id and t_jm o t_ij = t_im.
+    Node I_S keys x by x (.) neg g_S, the projection off the coordinates S
+    (as in `ideals.classes`), g_S the join of S's atoms a_j.  The 2^k key
+    rows come from the identity by doubling, row S + 2^j = row S (.) neg a_j
+    (one gather a row), and are numbered in place by chunks of rows
+    (`_number_classes`, O(n) a row, no sort) into the 2^k x n `projections`.
+    No transition is checked: each keying is a homomorphism, and node j's
+    key is node i's key (.) neg g_j when ideals[i] <= ideals[j], so
+    proj_j = t_ij o proj_i: t_ij is onto, t_ii = id, t_jm o t_ij = t_im.
     """
     lattice = ideal_lattice(algebra, max_size)
-    rows, reps = zip(*(classes(algebra, ideal) for ideal in lattice.ideals))
-    projections = np.stack(rows)
-    projections.setflags(write=False)
-    return InverseSystem(algebra, lattice.ideals, projections, reps, lattice.subset)
+    O, N, n = algebra.oplus_table, algebra.neg_table, algebra.size
+    atoms = _certificate(algebra).atoms
+    keys = np.empty((1 << len(atoms), n), dtype=index_dtype(n))
+    keys[0] = np.arange(n)
+    for j, atom in enumerate(atoms):   # x (.) neg a = neg(neg x (+) a)
+        keys[1 << j:2 << j] = N[O[atom][N]][keys[:1 << j]]
+    keys, reps, step = keys[lattice.supports], [], max(1, CHUNK // n)
+    for start in range(0, len(keys), step):
+        keys[start:start + step], chunk_reps = _number_classes(keys[start:start + step])
+        reps += chunk_reps
+    keys.setflags(write=False)
+    return InverseSystem(algebra, lattice.ideals, keys, tuple(reps), lattice.subset)
 
 
 @dataclass
@@ -125,19 +141,14 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     """The compatible-thread subalgebra and the canonical map into it.
 
     The threads are certified rather than searched for.  The zero ideal is
-    the least node of the poset (its subset row is all true) and its
-    projection is checked injective.  A thread x is then fixed by its
-    coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is compatible
-    because the transitions compose; so the threads are exactly these, one
-    per class a at the least node.  The transitions are homomorphisms
-    (proj_j = t_0j o proj_0 with proj_0 onto), so componentwise operations on
-    threads are the quotient operations at that node.  The least node comes
-    first in all_ideals order, so numbering threads by their class there is
-    their lexicographic order.
-
-    The canonical map proj_0 is a homomorphism by `classes`' certificate
-    check and injective, so an isomorphism once checked onto.  Cost: that of
-    build_inverse_system plus O(n^2) for the one quotient table read.
+    the least node (its subset row is all true), its projection checked
+    injective; a thread x is fixed there, x_j = t_0j(x_0), and each
+    (t_0j(a))_j is compatible as the transitions compose, so the threads are
+    one per class a at the least node, operated on as the quotient there
+    (the t_0j are homomorphisms), numbered in lexicographic order as the
+    least node comes first.  The canonical map proj_0 keys x by x itself, a
+    homomorphism, and is injective, so an isomorphism once checked onto.
+    Cost: build_inverse_system plus O(n^2) for the one quotient table.
     """
     system = build_inverse_system(algebra, max_size)
     least = np.flatnonzero(system.subset.all(axis=1))
@@ -158,13 +169,9 @@ def profinite_completion(algebra: FiniteMVAlgebra,
 
 @dataclass
 class CenterCorrespondenceReport:
-    """Outcome of checking the ideal correspondence with the Boolean center.
-
-    Covers: I -> I n B(A) as an inclusion-preserving and reversing bijection
-    between the two ideal posets, the induced isomorphisms
-    B(A)/(I n B(A)) -> B(A/I), and commutation of those isomorphisms with
-    all transition maps.
-    """
+    """The ideal correspondence with the Boolean center: I -> I n B(A) as an
+    inclusion preserving and reversing bijection, the induced isomorphisms
+    B(A)/(I n B(A)) -> B(A/I), and their commutation with the transitions."""
 
     ideal_count: int
     center_ideal_count: int
@@ -186,34 +193,30 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
                                  max_size=DEFAULT_MAX_SIZE) -> CenterCorrespondenceReport:
     """Check the center ideal correspondence on a regular finite algebra.
 
-    psi_i = ideals[i] n B(A) is the center ideal generated by g_i, the
-    central generator of ideals[i]: a lookup by generator, checked against
-    the member masks (O(k*|B|)).  theta_i sends a class of B(A)/psi_i to the
-    position in B(A/I_i) of its class in A/I_i ([x] is central iff
-    x ^ neg x is in I_i): one scatter, checked consistent with the
-    projections (theta_i o proj_c = proj_i o emb) and counted bijective,
-    hence a homomorphism as proj_c is an onto one, with no table built.
-    With psi an order isomorphism the lattice is Boolean (2^|S| ideals below
-    I_S), so the squares are checked on covering pairs |S_j| = |S_i| + 1
-    only: both sides' transitions compose.
+    psi_i = ideals[i] n B(A) is the center ideal generated by g_i, looked up
+    by generator; it is well defined when each center element and each psi_i
+    has A's support, which decides membership (O(K + |B|) for K ideals).
+    theta_i sends a class of B(A)/psi_i to the one class in A/I_i of its
+    embedded members and must be a bijection onto the central classes ([x]
+    is central iff x ^ neg x is in I_i): an isomorphism, proj_c being an onto
+    homomorphism, in O(n) a node.  The squares then commute, both ways round
+    sending the class of c to that of emb c, since proj_j = t_ij o proj_i.
     """
     center, emb = center_algebra(algebra)
     if not _is_regular(algebra, center, emb, max_size):
         raise PreconditionError("center correspondence requires a regular algebra")
 
     system = build_inverse_system(algebra, max_size)
-    generators = ideal_lattice(algebra, max_size).generators
+    lattice, lattice_c = ideal_lattice(algebra, max_size), ideal_lattice(center, max_size)
     emb = np.asarray(emb)
-    lattice_c = ideal_lattice(center, max_size)
     center_node = np.full(algebra.size, -1)
     center_node[emb[lattice_c.generators]] = np.arange(len(lattice_c.ideals))
-    psi = center_node[generators]
-    well_defined = bool((psi >= 0).all() and (
-        algebra.leq_matrix[np.ix_(emb, generators)]
-        == center.leq_matrix[:, lattice_c.generators[psi]]).all())
+    psi = center_node[lattice.generators]
+    well_defined = bool((psi >= 0).all() and (lattice_c.support == lattice.support[emb]).all()
+                        and (lattice_c.supports[psi] == lattice.supports).all())
     injective = len(set(psi.tolist())) == len(psi)
     surjective = set(psi.tolist()) == set(range(len(lattice_c.ideals)))
-    preserves = reverses = isos_ok = squares = False
+    preserves = reverses = isos_ok = False
     if well_defined:
         # the center's inclusion matrix pulled back along psi, against A's
         through_psi = lattice_c.subset[np.ix_(psi, psi)]
@@ -222,36 +225,21 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         system_c = build_inverse_system(center, max_size)
         O, N = algebra.oplus_table, algebra.neg_table
         self_meet = N[O[N[O[N[N], N[N]]], N[N]]]  # x ^ neg x, as in boolean_center
-        lifts = []  # lifts[i][u]: the class in A/I_i of the center class u
-        for proj, reps, c in zip(system.projections, system.reps, psi):
-            central = np.flatnonzero(proj[self_meet[reps]] == proj[algebra.zero])
-            position = np.full(len(reps), -1)
-            position[central] = np.arange(len(central))
-            image = position[proj[emb]]
-            theta = np.full(len(system_c.reps[c]), -1)
-            theta[system_c.projections[c]] = image
-            isos_ok = bool((image >= 0).all() and (theta[system_c.projections[c]] == image).all()
-                           and len(np.unique(theta)) == len(theta) == len(central))
-            if not isos_ok:
-                break
-            lifts.append(central[theta])
-        below = system.subset.sum(axis=0)
-        squares = isos_ok and all(
-            np.array_equal(lifts[j][system_c.transitions[(psi[i], psi[j])]],
-                           system.transitions[(i, j)][lifts[i]])
-            for i, j in zip(*np.nonzero(system.subset & (below == 2 * below[:, None]))))
 
-    return CenterCorrespondenceReport(
-        ideal_count=len(psi),
-        center_ideal_count=len(lattice_c.ideals),
-        psi_well_defined=well_defined,
-        psi_injective=injective,
-        psi_surjective=surjective,
-        psi_preserves_inclusion=preserves,
-        psi_reverses_inclusion=reverses,
-        quotient_isos_ok=isos_ok,
-        squares_ok=squares,
-    )
+        def theta_is_iso(proj, reps, proj_c):
+            image = proj[emb]
+            theta = np.empty(proj_c.max() + 1, dtype=image.dtype)
+            theta[proj_c] = image
+            hit = np.zeros(len(reps), dtype=bool)
+            hit[theta] = True
+            central = proj[self_meet[reps]] == proj[algebra.zero]
+            return (theta[proj_c] == image).all() and (hit == central).all() and hit.sum() == len(theta)
+
+        isos_ok = all(theta_is_iso(proj, reps, system_c.projections[c])
+                      for proj, reps, c in zip(system.projections, system.reps, psi.tolist()))
+
+    return CenterCorrespondenceReport(len(psi), len(lattice_c.ideals), well_defined, injective,
+                                      surjective, preserves, reverses, bool(isos_ok), bool(isos_ok))
 
 
 @dataclass

@@ -1,25 +1,18 @@
-"""Ideal calculus on finite MV-algebras.
+"""Ideal calculus on finite MV-algebras: ideals (subsets containing 0,
+closed under the truncated sum and downward closed), their congruences d(x, y)
+in I and quotients, classification (proper / prime / maximal / rank), the
+maximal ideals above an ideal, and the regularity test.
 
-An ideal is a carrier subset containing 0, closed under the truncated sum
-and downward closed.  The induced congruence identifies x and y exactly when
-their distance term lands in the ideal; quotients, the classification of
-ideals (proper / prime / maximal / rank), decomposition of an ideal into the
-maximal ideals above it, and the regularity test all live here.
-
-Every ideal of a finite MV-algebra is the down-set of exactly one Boolean
-(central) element, its join: `ideal_lattice` reads the ideals, their order and
-flags off the center in one cached pass, and the other functions answer from
-it.  Under the chain-product certificate (`finite.Decomposition`, attached by
-`product` and `chain_algebra`, found by `decompose` otherwise) an ideal is a
-set of coordinates: its classes are the projection onto the others, checked
-against the digits in O(n*k), a quotient carries the projected certificate,
-and the maximal ideals are the sets where one digit is 0.  The brute-force
-procedures these replaced are oracles in the test suite.
+Under the chain-product certificate (`finite.Decomposition`) A is
+prod_{i in K} L_{n_i} and its ideals are the coordinate sets
+I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits; the
+classes of I_S are the projection onto the other coordinates.  The
+brute-force procedures this replaced are oracles in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +28,6 @@ from .finite import (
     Decomposition,
     FiniteMVAlgebra,
     _frozen,
-    boolean_center,
     center_algebra,
     decompose,
     index_dtype,
@@ -44,10 +36,13 @@ from .finite import (
 
 @dataclass(frozen=True)
 class Ideal:
-    """A subset of a finite carrier, downward closed and closed under (+)."""
+    """A subset of a finite carrier, downward closed and closed under (+).
+    `generator`, its join, is known (not None) when the library built it; it
+    takes no part in equality."""
 
     algebra: FiniteMVAlgebra
     members: frozenset
+    generator: int | None = field(default=None, init=False, compare=False)
 
     @property
     def sorted_members(self) -> tuple:
@@ -69,11 +64,8 @@ class Ideal:
 
 @dataclass(frozen=True)
 class IdealClassification:
-    """Classification flags for one ideal.
-
-    `rank` is the size of the quotient chain when the ideal is maximal and
-    None otherwise (finite algebras only produce finite ranks).
-    """
+    """Classification flags for one ideal; `rank` is the size of the quotient
+    chain when the ideal is maximal, else None."""
 
     proper: bool
     prime: bool
@@ -95,46 +87,66 @@ def _member_mask(algebra, members) -> np.ndarray:
 
 def _generator(algebra: FiniteMVAlgebra, mask) -> int | None:
     """The (+)-fold g of the members when they are exactly the down-set of g
-    and g (+) g = g, else None.  This holds iff they form an ideal: g is then
-    their join and lies in the ideal.  Cost O(n + |I|): the fold is |I| scalar
-    reads (below n = 125 faster than any whole-array fold tried), the down-set
-    {x : g (+) neg x = 1} one contiguous row of the table."""
+    and g (+) g = g, else None: this holds iff they form an ideal, g its join.
+    The fold is pairwise, a gather per level down to 16 scalar reads, and the
+    down-set {x : g (+) neg x = 1} one row of the table: O(n) in all."""
     O = algebra.oplus_table
-    read = O.item
-    g = algebra.zero
-    for x in np.flatnonzero(mask).tolist():
-        g = read(g, x)
+    v, g = np.flatnonzero(mask), algebra.zero
+    while len(v) > 16:
+        if len(v) % 2:
+            g = O.item(g, v[-1])
+        v = O[v[:-1:2], v[1::2]].astype(np.intp)
+    for x in v.tolist():
+        g = O.item(g, x)
     if O[g, g] != g or (mask != (O[g][algebra.neg_table] == algebra.one)).any():
         return None
     return g
 
 
+def _ideal(algebra: FiniteMVAlgebra, members: frozenset, g: int) -> Ideal:
+    ideal = Ideal(algebra, members)
+    object.__setattr__(ideal, "generator", g)
+    return ideal
+
+
 def is_ideal(algebra: FiniteMVAlgebra, members) -> bool:
-    """Zero, (+)-closure and down-closure, certified by `_generator` in O(n + |I|)."""
+    """Zero, (+)-closure and down-closure, certified by `_generator` in O(n)."""
     return _generator(algebra, _member_mask(algebra, members)) is not None
 
 
 def make_ideal(algebra: FiniteMVAlgebra, members) -> Ideal:
-    if not is_ideal(algebra, members):
+    g = _generator(algebra, _member_mask(algebra, members))
+    if g is None:
         raise NotAnIdealError(f"{sorted(set(members))} is not an ideal")
-    return Ideal(algebra, frozenset(int(x) for x in members))
+    return _ideal(algebra, frozenset(int(x) for x in members), g)
 
 
 def zero_ideal(algebra: FiniteMVAlgebra) -> Ideal:
-    return Ideal(algebra, frozenset({algebra.zero}))
+    return _ideal(algebra, frozenset({algebra.zero}), algebra.zero)
 
 
 def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
-    return Ideal(algebra, frozenset(range(algebra.size)))
+    return _ideal(algebra, frozenset(range(algebra.size)), algebra.one)
+
+
+def _certificate(algebra: FiniteMVAlgebra) -> Decomposition:
+    """The algebra's chain-product certificate, the empty product for the
+    trivial algebra; an algebra without one is broken."""
+    if algebra.size == 1:
+        return Decomposition((), (), np.zeros((1, 0), dtype=np.int32))
+    try:
+        return decompose(algebra)
+    except DecompositionError as exc:
+        raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class _LatticeCore:
-    """What `ideal_lattice` caches on the algebra: `members[i]` is the
-    down-set of the central element `generators[i]`, in canonical (size,
-    member list) order; `subset[i, j]` says members[i] lies in members[j];
-    `index` maps member sets to positions.  It holds no `Ideal`s, which
-    would point back at the algebra."""
+    """What `ideal_lattice` caches: members[i] = I_S = down-set of
+    generators[i] for S = supports[i] (bit j for coordinate j), in (size,
+    member list) order; subset[i, j] iff members[i] lies in members[j];
+    `index` maps member sets to positions; support[x] = s(x).  It holds no
+    `Ideal`s, which would point back at the algebra."""
 
     members: tuple
     generators: np.ndarray
@@ -142,6 +154,8 @@ class _LatticeCore:
     index: dict
     prime: np.ndarray
     maximal: np.ndarray
+    support: np.ndarray
+    supports: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,44 +172,41 @@ def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
         return cached
     if max_size is not None and algebra.size > max_size:
         raise ResourceCapError(algebra.size, max_size)
-    center = np.asarray(boolean_center(algebra)[0], dtype=np.int64)
-    if (algebra.oplus_table[center, center] != center).any():
-        raise InternalConsistencyError("a central element is not idempotent")
-    leq = algebra.leq_matrix
-    downs = [np.flatnonzero(leq[:, g]).tolist() for g in center]
-    order = sorted(range(len(center)), key=lambda c: (len(downs[c]), downs[c]))
-    generators = center[order]
-    members = tuple(frozenset(downs[c]) for c in order)
-    subset = leq[np.ix_(generators, generators)]
-    proper = generators != algebra.one
-    maximal = proper & ((subset & proper).sum(axis=1) == 1)
-    # the ideals above one are listed by size, so they form a chain exactly
-    # when each lies inside the next
-    chain_above = [subset[up[:-1], up[1:]].all() for up in map(np.flatnonzero, subset)]
-    prime = proper & np.asarray(chain_above, dtype=bool)
-    for shared in (generators, subset, prime, maximal):
+    cert = _certificate(algebra)
+    n, k = cert.digits.shape
+    support = ((cert.digits != 0) @ (1 << np.arange(k))).astype(index_dtype(n))   # below 2^k <= n
+    lists = [np.flatnonzero((support | s) == s).tolist() for s in range(1 << k)]   # I_S, ascending
+    order = sorted(range(1 << k), key=lambda s: (len(lists[s]), lists[s]))
+    tops = np.full(1 << k, algebra.zero, dtype=support.dtype)      # the join of S's atoms
+    for j, atom in enumerate(cert.atoms):
+        tops[1 << j:2 << j] = algebra.oplus_table[tops[:1 << j], atom]
+    supports = np.array(order, dtype=support.dtype)
+    # the quotient is a chain, so the ideal prime, exactly when one coordinate
+    # is left out; those ideals are also the maximal ones
+    maximal = np.array([s.bit_count() == k - 1 for s in order], dtype=bool)
+    members = tuple(frozenset(lists[s]) for s in order)
+    core = _LatticeCore(members, tops[order], (supports[:, None] & ~supports) == 0,
+                        {m: i for i, m in enumerate(members)}, maximal, maximal, support, supports)
+    for shared in (core.generators, core.subset, maximal, support, supports):
         shared.setflags(write=False)
-    core = _LatticeCore(members, generators, subset,
-                        {m: i for i, m in enumerate(members)}, prime, maximal)
     algebra._cache["ideal_lattice"] = core
     return core
 
 
 def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealLattice:
-    """Every ideal as the down-set of a central element, in one cached pass.
+    """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
 
-    The join g of a finite ideal lies in it, so g (+) g does too and is <= g:
-    g is idempotent (central).  Conversely the down-set of an idempotent is
-    closed under (+); the pass checks every center member idempotent.  The
-    inclusion matrix is the order on the generators; maximal means no other
-    proper ideal above, prime means proper with the ideals above forming a
-    chain (the MV-algebra characterisation).  Cost for k ideals over n
-    elements: O(n^2) for the center and the down-sets, O(k^2) for the rest.
-    The cache holds member sets only; each call wraps them in k new `Ideal`s
-    (O(k)), so the algebra and its cache form no reference cycle.
+    I_S is the down-set of the join of S's atoms, its generator (one table
+    read each); it lies in I_T iff S lies in T, a bitmask test; it is
+    maximal, equally prime, iff S misses one coordinate.  Its members are
+    the x whose support s(x) lies in S, one bitmask test each.  Cost
+    O(2^k * n) for the members, O(4^k) for inclusion and the canonical sort;
+    no order matrix or center.  The cache holds member sets only, wrapped in
+    new `Ideal`s per call, so the algebra and its cache form no cycle.
     """
     core = _lattice_core(algebra, max_size)
-    return IdealLattice(**vars(core), ideals=tuple(Ideal(algebra, m) for m in core.members))
+    ideals = tuple(_ideal(algebra, m, g) for m, g in zip(core.members, core.generators.tolist()))
+    return IdealLattice(**vars(core), ideals=ideals)
 
 
 def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
@@ -204,70 +215,74 @@ def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
 
 
 def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
-    """Least ideal containing `seed`: of the ideals above it, the first in
-    canonical order, checked to lie in all the others (O(|seed| * k))."""
+    """Least ideal containing `seed`: I_S for S the union of the seed's
+    supports, since I_S contains x iff s(x) lies in S (O(|seed| + 2^k))."""
     mask = _member_mask(algebra, seed)
     core = _lattice_core(algebra, None)
-    above = algebra.leq_matrix[np.ix_(np.flatnonzero(mask), core.generators)].all(axis=0)
-    least = int(np.argmax(above))
-    if not core.subset[least, above].all():
-        raise InternalConsistencyError("no least ideal contains the seed")
-    return Ideal(algebra, core.members[least])
+    i = int(np.flatnonzero(core.supports == np.bitwise_or.reduce(core.support[mask]))[0])
+    return _ideal(algebra, core.members[i], int(core.generators[i]))
 
 
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
              max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
-    """Flags and generator g looked up in the lattice (proper is g != 1); the
-    rank of a maximal ideal is its class count (`classes`, O(n*k))."""
-    if not is_ideal(algebra, ideal.members):
-        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    """Flags and generator g read off the lattice, which holds every ideal (a
+    set outside it is refused); proper is g != 1, and the rank of a maximal
+    ideal is its class count (`classes`, O(n*k))."""
     core = _lattice_core(algebra, max_size)
-    i = core.index[ideal.members]
-    g = int(core.generators[i])
-    maximal = bool(core.maximal[i])
-    rank = len(classes(algebra, ideal)[1]) if maximal else None
+    i = core.index.get(ideal.members)
+    if i is None:
+        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    g, maximal = int(core.generators[i]), bool(core.maximal[i])
+    rank = len(classes(algebra, _ideal(algebra, ideal.members, g))[1]) if maximal else None
     return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
 
 
-def _certificate(algebra: FiniteMVAlgebra) -> Decomposition:
-    """The algebra's chain-product certificate; an algebra without one is broken."""
-    try:
-        return decompose(algebra)
-    except DecompositionError as exc:
-        raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
+def _number_classes(keys):
+    """Classes of equal key per row of `keys` (c x n, entries below n):
+    class_of[r, x] numbers x's class in row r by least member, reps[r] lists
+    the least members.  A flattened scatter-min (`minimum.at`; a plain
+    scatter leaves repeated indices' winner unspecified) finds them, a cumsum
+    numbers them: O(c*n), no sort."""
+    c, n = keys.shape
+    flat = np.arange(c * n, dtype=np.int32)
+    slot = (keys + flat[::n, None]).ravel()       # row r's keys moved to r*n + key
+    least = np.full(c * n, c * n, dtype=np.int32)
+    np.minimum.at(least, slot, flat)
+    rep = least[slot]
+    is_rep = rep == flat
+    number = np.cumsum(is_rep, dtype=np.int32)
+    # x = 0 is the least member of its class, so it opens every row's count
+    class_of = number[rep].reshape(c, n) - number[::n, None]
+    ends = number[n - 1::n].tolist()
+    found = np.flatnonzero(is_rep) % n
+    return class_of.astype(index_dtype(n)), [_frozen(found[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
-    """The classes of the congruence d(x, y) in I, as read-only arrays:
-    class_of[x] is x's class, reps[c] the least member of class c (classes
-    are numbered by least member).  With g the central generator of I, x is
-    keyed by x (.) neg g = neg(neg x (+) g), the projection of
-    A = [0, g] x [0, neg g] onto [0, neg g].  The certificate proves the
-    keying a homomorphism: the key's digits must be x's digits with g's
-    nonzero coordinates set to 0 (O(n*k); an algebra without a certificate
-    gets one from `decompose`, O(n^2) once).  d(x, rep x) in I, the induced
-    negation and the kernel are checked in O(n); no table is built.
+    """The classes of the congruence d(x, y) in I as read-only arrays:
+    class_of[x], numbered by least member, and reps[c], those members.  With
+    g the generator of I (the ideal's, else `_generator`'s, which proves I an
+    ideal), x is keyed by x (.) neg g, its projection onto [0, neg g].
+
+    The one check: the key's digits are x's with S, g's nonzero coordinates,
+    set to 0.  The certificate being an isomorphism, the keying is then the
+    projection off S, a homomorphism, which implies the congruence, induced
+    negation and kernel checks this used to make: the kernel, digits 0 off S,
+    is the down-set of g, I; negation respects keys; and x and rep x share a
+    key, so d(x, rep x) has key 0, in I.  Cost O(n*k); no sort, no table.
     """
-    mask = _member_mask(algebra, ideal.members)
-    g = _generator(algebra, mask)
+    g = ideal.generator
     if g is None:
-        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+        g = _generator(algebra, _member_mask(algebra, ideal.members))
+        if g is None:
+            raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     O, N = algebra.oplus_table, algebra.neg_table
     key = N[O[g][N]]
-    if algebra.size > 1:
-        digits = _certificate(algebra).digits
-        if (digits[key] != digits * (digits[g] == 0)).any():
-            raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rep = first[inverse]  # least member of the class of x
-    reps, class_of = np.unique(rep, return_inverse=True)
-    if not mask[O[N[O[N, rep]], N[O[np.arange(algebra.size), N[rep]]]]].all():
-        raise InternalConsistencyError("an element is not congruent to its class representative")
-    if (class_of[N] != class_of[N[reps]][class_of]).any():
-        raise InternalConsistencyError("induced negation is not well defined")
-    if ((class_of == class_of[algebra.zero]) != mask).any():
-        raise InternalConsistencyError("projection kernel differs from the ideal")
-    return _frozen(class_of.astype(index_dtype(algebra.size))), _frozen(reps)
+    digits = _certificate(algebra).digits
+    if (digits[key] != digits * (digits[g] == 0)).any():
+        raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
+    class_of, reps = _number_classes(key[None, :])
+    return _frozen(class_of[0]), reps[0]
 
 
 def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:
@@ -277,15 +292,13 @@ def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgeb
     O, N = algebra.oplus_table, algebra.neg_table
     labels = None if algebra.labels is None else tuple(f"[{algebra.labels[r]}]" for r in reps)
     zero = int(class_of[algebra.zero])
-    result = FiniteMVAlgebra(len(reps), zero, class_of[O[np.ix_(reps, reps)]], class_of[N[reps]], labels)
+    result = FiniteMVAlgebra(len(reps), zero, class_of[O[reps[:, None], reps]], class_of[N[reps]], labels)
     if len(reps) > 1:
         cert = _certificate(algebra)
-        atom_class = class_of[list(cert.atoms)]
-        outside = np.flatnonzero(atom_class != zero)
-        outside = outside[np.argsort(atom_class[outside])]
+        outside = sorted((c, i) for i, c in enumerate(class_of[list(cert.atoms)].tolist()) if c != zero)
         result._cache["decomposition"] = Decomposition(
-            tuple(atom_class[outside].tolist()), tuple(cert.chain_orders[i] for i in outside),
-            _frozen(cert.digits[np.ix_(reps, outside)]))
+            tuple(c for c, _ in outside), tuple(cert.chain_orders[i] for _, i in outside),
+            _frozen(cert.digits[reps][:, [i for _, i in outside]]))
     return result
 
 
@@ -299,24 +312,24 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
 def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     """The maximal ideals M_1..M_r with intersection equal to a proper ideal.
 
-    Under the certificate the maximal ideals are the sets {x : digits[x, i] = 0};
-    those containing the ideal are the coordinates on which every member's
-    digit is 0, and their intersection is checked to be the ideal.  Cost
-    O(n*k) plus the certificate (see `quotient`); no order matrix or center
-    is built.
+    They are the M_i = {x : digits[x, i] = 0} = down-set of neg a_i (a_i the
+    atom of coordinate i) where every member's digit i is 0; the ideals are
+    intersections of M_i, so theirs equals the members iff those form an
+    ideal, the one check.  O(n*k) and one sort of the r member lists.
     """
     mask = _member_mask(algebra, ideal.members)
-    if _generator(algebra, mask) is None:
-        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     if mask.all():
         raise PreconditionError("the improper ideal has no maximal decomposition")
-
-    digits = _certificate(algebra).digits
-    zero_sets = digits[:, (digits[mask] == 0).all(axis=0)] == 0
-    if (zero_sets.all(axis=1) != mask).any():
-        raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")
-    result = [Ideal(algebra, frozenset(np.flatnonzero(col).tolist())) for col in zero_sets.T]
-    return tuple(sorted(result, key=lambda i: i.sorted_members))
+    cert = _certificate(algebra)
+    above = np.flatnonzero((cert.digits[mask] == 0).all(axis=0))
+    zero_sets = cert.digits.T[above] == 0
+    if (zero_sets.all(axis=0) != mask).any():
+        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    x = np.nonzero(zero_sets)[1].tolist()
+    ends = np.cumsum(zero_sets.sum(axis=1)).tolist()
+    tops = algebra.neg_table[[cert.atoms[i] for i in above.tolist()]].tolist()
+    found = sorted(zip((x[a:b] for a, b in zip([0] + ends[:-1], ends)), tops))
+    return tuple(_ideal(algebra, frozenset(m), g) for m, g in found)
 
 
 def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
@@ -327,12 +340,6 @@ def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
 
 def _is_regular(algebra, center, emb, max_size) -> bool:
     """`is_regular` on an already built (center, embedding) pair."""
-    center_core = _lattice_core(center, max_size)
-    core = _lattice_core(algebra, None)
-    for members, prime in zip(center_core.members, center_core.prime):
-        if not prime:
-            continue
-        generated = generated_ideal(algebra, {emb[m] for m in members})
-        if not core.prime[core.index[generated.members]]:
-            return False
-    return True
+    center_core, core = _lattice_core(center, max_size), _lattice_core(algebra, None)
+    return all(core.prime[core.index[generated_ideal(algebra, {emb[m] for m in members}).members]]
+               for members, prime in zip(center_core.members, center_core.prime) if prime)

@@ -4,7 +4,11 @@ The oracles here deliberately avoid the implementation's own shortcuts:
 ideal enumeration scans raw subsets or closes each element under the sum and
 the order, ideals are classified one at a time (maximality by a scan over all
 ideals, primality by a sweep over meets of non-members) and decomposed
-through a quotient, ideals are checked clause by clause, quotients are built
+through a quotient, the lattice is read off the Boolean center and the order
+matrix (`lattice_by_center`), classes are numbered by sorting and put
+through the congruence, negation and kernel checks the certificate makes
+redundant (`classes_by_unique`, `congruence_failures`), ideals are checked
+clause by clause, quotients are built
 from the distance term and their induced sum checked at all n^2 pairs
 (`check_induced_sum`), chain-product certificates are recomputed by
 `decompose` on re-validated tables and checked a homomorphism one atom at a
@@ -169,6 +173,62 @@ def is_ideal_by_clauses(algebra, members):
         return False
     below = algebra.leq_matrix[:, idx].any(axis=1)
     return bool((below <= mask).all())
+
+
+def lattice_by_center(algebra):
+    """The ideal lattice read off the Boolean center: each central element's
+    down-set from the order matrix (every center member checked idempotent),
+    sorted by (size, member list); inclusion is the order on the generators,
+    maximal means no other proper ideal above, prime means proper with the
+    ideals above forming a chain."""
+    center = np.asarray(mv.boolean_center(algebra)[0], dtype=np.int64)
+    if (algebra.oplus_table[center, center] != center).any():
+        raise mv.InternalConsistencyError("a central element is not idempotent")
+    leq = algebra.leq_matrix
+    downs = [np.flatnonzero(leq[:, g]).tolist() for g in center]
+    order = sorted(range(len(center)), key=lambda c: (len(downs[c]), downs[c]))
+    generators = center[order]
+    subset = leq[np.ix_(generators, generators)]
+    proper = generators != algebra.one
+    maximal = proper & ((subset & proper).sum(axis=1) == 1)
+    # the ideals above one are listed by size, so they form a chain exactly
+    # when each lies inside the next
+    chain_above = [subset[up[:-1], up[1:]].all() for up in map(np.flatnonzero, subset)]
+    prime = proper & np.asarray(chain_above, dtype=bool)
+    return types.SimpleNamespace(members=[frozenset(downs[c]) for c in order], generators=generators,
+                                 subset=subset, prime=prime, maximal=maximal)
+
+
+def congruence_failures(algebra, members, class_of, reps):
+    """Which of the checks the certificate check makes redundant fail for
+    the partition (class_of, reps) of the carrier against the ideal
+    `members`: "congruence" (d(x, rep x) in I), "negation" (the induced
+    negation is well defined), "kernel" (the class of 0 is I)."""
+    O, N = algebra.oplus_table, algebra.neg_table
+    mask = np.zeros(algebra.size, dtype=bool)
+    mask[list(members)] = True
+    class_of, reps = np.asarray(class_of), np.asarray(reps)
+    rep = reps[class_of]
+    failed = []
+    if not mask[O[N[O[N, rep]], N[O[np.arange(algebra.size), N[rep]]]]].all():
+        failed.append("congruence")
+    if (class_of[N] != class_of[N[reps]][class_of]).any():
+        failed.append("negation")
+    if ((class_of == class_of[algebra.zero]) != mask).any():
+        failed.append("kernel")
+    return failed
+
+
+def classes_by_unique(algebra, ideal):
+    """(class_of, reps) keyed by x (.) neg g, g the join of the members found
+    by scalar joins, and numbered by least member with two np.unique sorts."""
+    g = algebra.zero
+    for x in sorted(ideal.members):
+        g = algebra.join(g, x)
+    O, N = algebra.oplus_table, algebra.neg_table
+    _, first, inverse = np.unique(N[O[g][N]], return_index=True, return_inverse=True)
+    reps, class_of = np.unique(first[inverse], return_inverse=True)
+    return class_of, reps
 
 
 def quotient_by_distance(algebra, ideal):

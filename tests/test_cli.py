@@ -72,6 +72,33 @@ def test_malformed_json_exits_3(tmp_path, capsys):
     assert code == 3 and report["error"]["kind"] == "schema"
 
 
+def test_deeply_nested_document_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code = run(["verify", str(deep)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["error"]["kind"] == "schema"
+
+
+def test_non_utf8_document_exits_3(tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe" + json.dumps(PRODUCT_23).encode("utf-16-le"))
+    code = run(["verify", str(raw)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_reports_on_stdout(tmp_path, capsys, target):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(PRODUCT_23), encoding="utf-8")
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+    code = run(["verify", str(doc), "--out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["command"] == "verify" and "result" not in report
+    assert report["error"]["kind"] == "schema" and "cannot write the report" in report["error"]["message"]
+
+
 def test_resource_cap_exits_4(capsys):
     code, report = invoke(capsys, "decompose", {"type": "product", "orders": [5] * 6})
     assert code == 4

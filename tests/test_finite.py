@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvkit as mv
 from mvkit.errors import (
@@ -611,3 +613,31 @@ def test_validated_algebra_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+SMALL_ORDERS = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 3), (2, 4), (2, 2, 2)]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.data())
+def test_negation_corruptions_meet_the_sweep(data):
+    """A derandomized search over negation-only corruptions of the chain
+    products with n <= 8, under a relabeling: `from_tables` accepts exactly
+    when the sweep finds no failing axiom, else raises the sweep's axiom and
+    witness."""
+    orders = data.draw(st.sampled_from(SMALL_ORDERS))
+    A = mv.product([mv.chain_algebra(o) for o in orders])
+    A = mv.relabel(A, data.draw(st.permutations(range(A.size))))
+    n, zero, oplus = A.size, A.zero, np.array(A.oplus_table)
+    neg = np.array(A.neg_table)
+    changes = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 min_size=1, max_size=3))
+    for x, value in changes:
+        neg[x] = value
+    want = axiom_failure_by_sweep(n, zero, oplus, neg)
+    if want is None:
+        assert mv.from_tables(n, zero, oplus, neg).size == n
+    else:
+        with pytest.raises(MVAxiomError) as info:
+            mv.from_tables(n, zero, oplus, neg)
+        assert (info.value.axiom, info.value.witness) == want

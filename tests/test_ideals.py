@@ -12,11 +12,14 @@ from mvkit.errors import InternalConsistencyError, NotAnIdealError, Precondition
 
 from conftest import (
     check_induced_sum,
+    classes_by_unique,
     classify_by_scan,
+    congruence_failures,
     ideal_by_closure,
     ideals_by_closure,
     ideals_by_subset_scan,
     is_ideal_by_clauses,
+    lattice_by_center,
     maximal_decomposition_by_quotient,
     quotient_by_distance,
     shuffled,
@@ -393,4 +396,63 @@ def test_quotient_rejects_a_corrupted_certificate():
             A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
             with pytest.raises(InternalConsistencyError):
                 mv.quotient(A, ideal)
+        A._cache["decomposition"] = cert
+
+
+def test_ideal_lattice_matches_center_oracle(family):
+    """The coordinate-set lattice equals the one read off the Boolean center."""
+    rng = random.Random(89)
+    for combo, algebra in family + [((), mv.trivial_algebra())]:
+        A = shuffled(algebra, rng)
+        lattice, want = mv.ideals.ideal_lattice(A), lattice_by_center(A)
+        assert list(lattice.members) == want.members, combo
+        assert [i.generator for i in lattice.ideals] == want.generators.tolist(), combo
+        for got, expected in ((lattice.generators, want.generators), (lattice.subset, want.subset),
+                              (lattice.prime, want.prime), (lattice.maximal, want.maximal)):
+            assert np.array_equal(got, expected), combo
+
+
+def test_classes_match_the_checked_oracle(family):
+    """`classes` equals the sorted numbering, the partition passes the three
+    checks the certificate check implies, and a caller's `Ideal` (no
+    generator) gets the same classes as the lattice's."""
+    rng = random.Random(97)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        for ideal in mv.all_ideals(A):
+            class_of, reps = mv.ideals.classes(A, ideal)
+            want_class_of, want_reps = classes_by_unique(A, ideal)
+            assert class_of.tolist() == want_class_of.tolist() and reps.tolist() == want_reps.tolist()
+            assert congruence_failures(A, ideal.members, class_of, reps) == [], (combo, ideal)
+            bare = mv.Ideal(A, ideal.members)
+            assert bare.generator is None and bare == ideal
+            assert mv.ideals.classes(A, bare)[0].tolist() == class_of.tolist()
+
+
+def test_certificate_check_catches_what_the_three_checks_catch():
+    """On the digit-row swaps of `test_quotient_rejects_a_corrupted_certificate`
+    the classes the corrupted certificate asserts (x grouped by its digits off
+    the ideal's coordinates) fail one of the congruence, negation and kernel
+    checks, and `classes` refuses the corruption by its key check alone."""
+    A = mv.product([L(3), L(2), L(4)])
+    cert = A._cache["decomposition"]
+    try:
+        for ideal in mv.all_ideals(A):
+            if len(ideal) in (1, A.size):
+                continue
+            A._cache["decomposition"] = cert
+            proj = mv.quotient(A, ideal)[1]
+            for x, y in itertools.combinations(range(A.size), 2):
+                if proj[x] == proj[y]:
+                    continue
+                digits = np.array(cert.digits)
+                digits[[x, y]] = digits[[y, x]]
+                A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+                kept = digits * (digits[ideal.generator] == 0)
+                _, first, inverse = np.unique(kept, axis=0, return_index=True, return_inverse=True)
+                reps, class_of = np.unique(first[inverse.ravel()], return_inverse=True)
+                assert congruence_failures(A, ideal.members, class_of, reps), (ideal, x, y)
+                with pytest.raises(InternalConsistencyError):
+                    mv.ideals.classes(A, ideal)
+    finally:
         A._cache["decomposition"] = cert
