@@ -302,9 +302,17 @@ def cmd_center(args, doc):
 
 def cmd_ideals(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
-    # the flags are read off the lattice: proper, prime, maximal, rank, principal_generator
-    out = [{"members": list(ideal.sorted_members), **vars(classify(algebra, ideal, args.max_size))}
-           for ideal in all_ideals(algebra, args.max_size)]
+    out = []
+    for ideal in all_ideals(algebra, args.max_size):
+        cls = classify(algebra, ideal, args.max_size)
+        out.append({
+            "members": list(ideal.sorted_members),
+            "proper": cls.proper,
+            "prime": cls.prime,
+            "maximal": cls.maximal,
+            "rank": cls.rank,
+            "principal_generator": cls.principal_generator,
+        })
     return {"count": len(out), "ideals": out}, 0
 
 

@@ -1,14 +1,17 @@
 """Profinite completion of a finite MV-algebra as an explicit inverse limit.
 
-The index poset is every ideal under reverse inclusion.  Under the
-chain-product certificate an ideal is a coordinate set S, A/I_S the
-projection onto the other coordinates and each transition a further
+The index poset is every ideal under reverse inclusion (the improper ideal
+adds one forced coordinate, its trivial quotient).  Under the chain-product
+certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
+the projection onto the other coordinates and each transition a further
 projection: the system is one array of class indices, and quotient tables
 and transitions are built only when read.  The completion is its value at
-the zero ideal, the least node.  Two reports cover the Boolean center on
-regular algebras: the ideal correspondence I -> I n B(A) with the induced
-quotient isomorphisms, and the center of the completion against the
-completion of the center.
+the zero ideal, the least node, where the threads are certified.
+
+Two reports cover the Boolean center on regular algebras: the ideal
+correspondence I -> I n B(A) with the induced quotient isomorphisms and
+their commuting squares (array checks on the two lattices), and the center
+of the completion against the completion of the center.
 """
 
 from __future__ import annotations
@@ -103,17 +106,26 @@ def build_inverse_system(algebra: FiniteMVAlgebra,
     rows come from the identity by doubling, row S + 2^j = row S (.) neg a_j
     (one gather a row), and are numbered in place by chunks of rows
     (`_number_classes`, O(n) a row, no sort) into the 2^k x n `projections`.
-    No transition is checked: each keying is a homomorphism, and node j's
-    key is node i's key (.) neg g_j when ideals[i] <= ideals[j], so
+    Cost O(2^k * n) and the 2^k x n array; no quotient table is built.
+
+    The one check, `classes`' certificate check made once per atom: x (.)
+    neg a_j must have x's digits with digit j set to 0 (O(n*k) each).  Every
+    row is a composition of these maps, so every node's keys are then the
+    certificate's projection off S, whose kernel is the lattice's I_S.  No
+    transition is checked: each keying is a homomorphism, and node j's key
+    is node i's key (.) neg g_j when ideals[i] <= ideals[j], so
     proj_j = t_ij o proj_i: t_ij is onto, t_ii = id, t_jm o t_ij = t_im.
     """
     lattice = ideal_lattice(algebra, max_size)
     O, N, n = algebra.oplus_table, algebra.neg_table, algebra.size
-    atoms = _certificate(algebra).atoms
-    keys = np.empty((1 << len(atoms), n), dtype=index_dtype(n))
+    cert = _certificate(algebra)
+    keys = np.empty((1 << len(cert.atoms), n), dtype=index_dtype(n))
     keys[0] = np.arange(n)
-    for j, atom in enumerate(atoms):   # x (.) neg a = neg(neg x (+) a)
-        keys[1 << j:2 << j] = N[O[atom][N]][keys[:1 << j]]
+    for j, atom in enumerate(cert.atoms):
+        drop = N[O[atom][N]]   # x (.) neg a = neg(neg x (+) a)
+        if (cert.digits[drop] != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
+            raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
+        keys[1 << j:2 << j] = drop[keys[:1 << j]]
     keys, reps, step = keys[lattice.supports], [], max(1, CHUNK // n)
     for start in range(0, len(keys), step):
         keys[start:start + step], chunk_reps = _number_classes(keys[start:start + step])
@@ -141,14 +153,20 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     """The compatible-thread subalgebra and the canonical map into it.
 
     The threads are certified rather than searched for.  The zero ideal is
-    the least node (its subset row is all true), its projection checked
-    injective; a thread x is fixed there, x_j = t_0j(x_0), and each
-    (t_0j(a))_j is compatible as the transitions compose, so the threads are
-    one per class a at the least node, operated on as the quotient there
-    (the t_0j are homomorphisms), numbered in lexicographic order as the
-    least node comes first.  The canonical map proj_0 keys x by x itself, a
-    homomorphism, and is injective, so an isomorphism once checked onto.
-    Cost: build_inverse_system plus O(n^2) for the one quotient table.
+    the least node of the poset (its subset row is all true) and its
+    projection is checked injective.  A thread x is then fixed by its
+    coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is compatible
+    because the transitions compose; so the threads are exactly these, one
+    per class a at the least node.  The transitions are homomorphisms
+    (proj_j = t_0j o proj_0 with proj_0 onto), so componentwise operations on
+    threads are the quotient operations at that node.  The least node comes
+    first in all_ideals order, so numbering threads by their class there is
+    their lexicographic order.
+
+    The canonical map proj_0 is a homomorphism by `build_inverse_system`'s
+    certificate check and injective, so an isomorphism once checked onto.
+    Cost: that of build_inverse_system plus O(n^2) for the one quotient
+    table read.
     """
     system = build_inverse_system(algebra, max_size)
     least = np.flatnonzero(system.subset.all(axis=1))
@@ -169,9 +187,13 @@ def profinite_completion(algebra: FiniteMVAlgebra,
 
 @dataclass
 class CenterCorrespondenceReport:
-    """The ideal correspondence with the Boolean center: I -> I n B(A) as an
-    inclusion preserving and reversing bijection, the induced isomorphisms
-    B(A)/(I n B(A)) -> B(A/I), and their commutation with the transitions."""
+    """Outcome of checking the ideal correspondence with the Boolean center.
+
+    Covers: I -> I n B(A) as an inclusion-preserving and reversing bijection
+    between the two ideal posets, the induced isomorphisms
+    B(A)/(I n B(A)) -> B(A/I), and commutation of those isomorphisms with
+    all transition maps.
+    """
 
     ideal_count: int
     center_ideal_count: int
@@ -238,8 +260,17 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         isos_ok = all(theta_is_iso(proj, reps, system_c.projections[c])
                       for proj, reps, c in zip(system.projections, system.reps, psi.tolist()))
 
-    return CenterCorrespondenceReport(len(psi), len(lattice_c.ideals), well_defined, injective,
-                                      surjective, preserves, reverses, bool(isos_ok), bool(isos_ok))
+    return CenterCorrespondenceReport(
+        ideal_count=len(psi),
+        center_ideal_count=len(lattice_c.ideals),
+        psi_well_defined=well_defined,
+        psi_injective=injective,
+        psi_surjective=surjective,
+        psi_preserves_inclusion=preserves,
+        psi_reverses_inclusion=reverses,
+        quotient_isos_ok=bool(isos_ok),
+        squares_ok=bool(isos_ok),
+    )
 
 
 @dataclass

@@ -1,13 +1,21 @@
-"""Ideal calculus on finite MV-algebras: ideals (subsets containing 0,
-closed under the truncated sum and downward closed), their congruences d(x, y)
-in I and quotients, classification (proper / prime / maximal / rank), the
-maximal ideals above an ideal, and the regularity test.
+"""Ideal calculus on finite MV-algebras.
 
-Under the chain-product certificate (`finite.Decomposition`) A is
-prod_{i in K} L_{n_i} and its ideals are the coordinate sets
-I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits; the
-classes of I_S are the projection onto the other coordinates.  The
-brute-force procedures this replaced are oracles in the test suite.
+An ideal is a carrier subset containing 0, closed under the truncated sum
+and downward closed.  The induced congruence identifies x and y exactly when
+their distance term lands in the ideal; quotients, the classification of
+ideals (proper / prime / maximal / rank), decomposition of an ideal into the
+maximal ideals above it, and the regularity test all live here.
+
+Under the chain-product certificate (`finite.Decomposition`, attached by
+`product` and `chain_algebra`, found by `decompose` otherwise) A is
+prod_{i in K} L_{n_i}, and its ideals are the coordinate sets
+I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits.
+`ideal_lattice` reads all of them, their order and flags off the digits in
+one cached pass, and the other functions answer from it.  The classes of I_S
+are the projection onto the other coordinates, checked against the digits in
+O(n*k); a quotient carries the projected certificate, and the maximal ideals
+are the sets where one digit is 0.  The brute-force procedures these
+replaced are oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -64,8 +72,11 @@ class Ideal:
 
 @dataclass(frozen=True)
 class IdealClassification:
-    """Classification flags for one ideal; `rank` is the size of the quotient
-    chain when the ideal is maximal, else None."""
+    """Classification flags for one ideal.
+
+    `rank` is the size of the quotient chain when the ideal is maximal and
+    None otherwise (finite algebras only produce finite ranks).
+    """
 
     proper: bool
     prime: bool
@@ -180,6 +191,8 @@ def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
     tops = np.full(1 << k, algebra.zero, dtype=support.dtype)      # the join of S's atoms
     for j, atom in enumerate(cert.atoms):
         tops[1 << j:2 << j] = algebra.oplus_table[tops[:1 << j], atom]
+    if (support[tops] != np.arange(1 << k)).any():
+        raise InternalConsistencyError("an ideal's generator does not have the ideal's support")
     supports = np.array(order, dtype=support.dtype)
     # the quotient is a chain, so the ideal prime, exactly when one coordinate
     # is left out; those ideals are also the maximal ones
@@ -197,12 +210,13 @@ def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealL
     """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
 
     I_S is the down-set of the join of S's atoms, its generator (one table
-    read each); it lies in I_T iff S lies in T, a bitmask test; it is
-    maximal, equally prime, iff S misses one coordinate.  Its members are
-    the x whose support s(x) lies in S, one bitmask test each.  Cost
-    O(2^k * n) for the members, O(4^k) for inclusion and the canonical sort;
-    no order matrix or center.  The cache holds member sets only, wrapped in
-    new `Ideal`s per call, so the algebra and its cache form no cycle.
+    read each, checked to have support S); it lies in I_T iff S lies in T,
+    a bitmask test; it is maximal, equally prime, iff S misses one
+    coordinate.  Its members are the x whose support s(x) lies in S, one
+    bitmask test each.  Cost O(2^k * n) for the members, O(4^k) for
+    inclusion and the canonical sort; no order matrix or center.  The cache
+    holds member sets only, wrapped in new `Ideal`s per call, so the algebra
+    and its cache form no cycle.
     """
     core = _lattice_core(algebra, max_size)
     ideals = tuple(_ideal(algebra, m, g) for m, g in zip(core.members, core.generators.tolist()))
@@ -295,10 +309,12 @@ def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgeb
     result = FiniteMVAlgebra(len(reps), zero, class_of[O[reps[:, None], reps]], class_of[N[reps]], labels)
     if len(reps) > 1:
         cert = _certificate(algebra)
-        outside = sorted((c, i) for i, c in enumerate(class_of[list(cert.atoms)].tolist()) if c != zero)
+        atom_class = class_of[list(cert.atoms)]
+        outside = np.flatnonzero(atom_class != zero)
+        outside = outside[np.argsort(atom_class[outside])]
         result._cache["decomposition"] = Decomposition(
-            tuple(c for c, _ in outside), tuple(cert.chain_orders[i] for _, i in outside),
-            _frozen(cert.digits[reps][:, [i for _, i in outside]]))
+            tuple(atom_class[outside].tolist()), tuple(cert.chain_orders[i] for i in outside),
+            _frozen(cert.digits[np.ix_(reps, outside)]))
     return result
 
 
@@ -315,7 +331,9 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     They are the M_i = {x : digits[x, i] = 0} = down-set of neg a_i (a_i the
     atom of coordinate i) where every member's digit i is 0; the ideals are
     intersections of M_i, so theirs equals the members iff those form an
-    ideal, the one check.  O(n*k) and one sort of the r member lists.
+    ideal, the one check.  When it fails, `_generator`'s table test (O(n))
+    tells a set that is not an ideal from a certificate that disagrees with
+    the tables.  O(n*k) and one sort of the r member lists.
     """
     mask = _member_mask(algebra, ideal.members)
     if mask.all():
@@ -324,7 +342,10 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     above = np.flatnonzero((cert.digits[mask] == 0).all(axis=0))
     zero_sets = cert.digits.T[above] == 0
     if (zero_sets.all(axis=0) != mask).any():
-        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+        # a genuine ideal that misses the intersection means a broken certificate
+        if ideal.generator is None and _generator(algebra, mask) is None:
+            raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+        raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")
     x = np.nonzero(zero_sets)[1].tolist()
     ends = np.cumsum(zero_sets.sum(axis=1)).tolist()
     tops = algebra.neg_table[[cert.atoms[i] for i in above.tolist()]].tolist()
@@ -340,6 +361,12 @@ def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
 
 def _is_regular(algebra, center, emb, max_size) -> bool:
     """`is_regular` on an already built (center, embedding) pair."""
-    center_core, core = _lattice_core(center, max_size), _lattice_core(algebra, None)
-    return all(core.prime[core.index[generated_ideal(algebra, {emb[m] for m in members}).members]]
-               for members, prime in zip(center_core.members, center_core.prime) if prime)
+    center_core = _lattice_core(center, max_size)
+    core = _lattice_core(algebra, None)
+    for members, prime in zip(center_core.members, center_core.prime):
+        if not prime:
+            continue
+        generated = generated_ideal(algebra, {emb[m] for m in members})
+        if not core.prime[core.index[generated.members]]:
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Inverse systems, the profinite completion, and the center verifications."""
 
+import dataclasses
 import gc
 import inspect
 import itertools
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mvkit as mv
+from mvkit.errors import InternalConsistencyError
 
 from conftest import (
     center_correspondence_by_loops,
@@ -273,3 +275,33 @@ def test_algebra_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_inverse_system_rejects_a_corrupted_certificate():
+    """The digit-row swaps of `test_quotient_rejects_a_corrupted_certificate`
+    (two elements in different classes of a proper nonzero ideal) are caught
+    by the per-atom check alone, with the lattice of the valid certificate
+    kept, and again with the lattice rebuilt from the corrupted one."""
+    A = mv.product([L(3), L(2), L(4)])
+    lattice = mv.ideals.ideal_lattice(A)
+    cert, core = A._cache["decomposition"], A._cache["ideal_lattice"]
+    pairs = set()
+    for ideal in lattice.ideals:
+        if len(ideal) not in (1, A.size):
+            proj = mv.quotient(A, ideal)[1]
+            pairs |= {(x, y) for x, y in itertools.combinations(range(A.size), 2) if proj[x] != proj[y]}
+    assert pairs
+    try:
+        for x, y in sorted(pairs):
+            digits = np.array(cert.digits)
+            digits[[x, y]] = digits[[y, x]]
+            A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+            for build in (mv.build_inverse_system, mv.profinite_completion):
+                A._cache["ideal_lattice"] = core
+                with pytest.raises(InternalConsistencyError):
+                    build(A)
+                del A._cache["ideal_lattice"]
+                with pytest.raises(InternalConsistencyError):
+                    build(A)
+    finally:
+        A._cache.update(decomposition=cert, ideal_lattice=core)

@@ -456,3 +456,42 @@ def test_certificate_check_catches_what_the_three_checks_catch():
                     mv.ideals.classes(A, ideal)
     finally:
         A._cache["decomposition"] = cert
+
+
+def test_maximal_decomposition_on_a_corrupted_certificate():
+    """A genuine ideal whose intersection check fails under a digit-row swap
+    is a broken certificate (InternalConsistencyError), whether the `Ideal`
+    came from the lattice or from the caller; a set that is not an ideal is
+    still NotAnIdealError."""
+    A = mv.product([L(3), L(2), L(4)])
+    cert = A._cache["decomposition"]
+    proper = [ideal for ideal in mv.all_ideals(A) if ideal.is_proper]
+    refused = 0
+    try:
+        for x, y in itertools.combinations(range(A.size), 2):
+            digits = np.array(cert.digits)
+            digits[[x, y]] = digits[[y, x]]
+            A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+            for ideal in proper:
+                for given in (ideal, mv.Ideal(A, ideal.members)):
+                    try:
+                        mv.maximal_decomposition(A, given)
+                    except InternalConsistencyError:
+                        refused += 1
+        assert refused
+        with pytest.raises(NotAnIdealError):
+            mv.maximal_decomposition(A, mv.Ideal(A, frozenset({A.zero, A.one})))
+    finally:
+        A._cache["decomposition"] = cert
+
+
+def test_ideal_lattice_checks_generator_supports():
+    """Swapping the digit rows of two atoms gives the generators of {0} and
+    {1} the wrong supports, and the lattice pass refuses the certificate."""
+    A = mv.product([L(3), L(2), L(4)])
+    cert = A._cache["decomposition"]
+    digits = np.array(cert.digits)
+    digits[list(cert.atoms[:2])] = digits[list(cert.atoms[1::-1])]
+    A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+    with pytest.raises(InternalConsistencyError):
+        mv.ideals.ideal_lattice(A)
