@@ -5,11 +5,11 @@ adds one forced coordinate, its trivial quotient).  Under the chain-product
 certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
 the projection onto the other coordinates and each transition a further
 projection: the system is one array of class indices, and quotient tables
-and transitions are built only when read.  The completion is its value at
-the zero ideal, the least node, where the threads are certified.
+and transitions are built only when read.  The completion is A on its own
+tables: the zero ideal is the least node and its projection the identity.
 
-Two reports cover the Boolean center on regular algebras: the ideal
-correspondence I -> I n B(A) with the induced quotient isomorphisms and
+Two reports cover the Boolean center (every finite algebra is regular): the
+ideal correspondence I -> I n B(A) with the induced quotient isomorphisms and
 their commuting squares (array checks on the two lattices), and the center
 of the completion against the completion of the center.
 """
@@ -21,17 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError
 from .finite import (
     DEFAULT_MAX_SIZE,
     FiniteMVAlgebra,
+    _certificate,
     are_isomorphic,
     center_algebra,
     index_dtype,
 )
 from .ideals import (
-    _certificate,
-    _is_regular,
     _number_classes,
     _quotient_algebra,
     ideal_lattice,
@@ -152,34 +151,26 @@ def profinite_completion(algebra: FiniteMVAlgebra,
                          max_size=DEFAULT_MAX_SIZE) -> CompletionResult:
     """The compatible-thread subalgebra and the canonical map into it.
 
-    The threads are certified rather than searched for.  The zero ideal is
-    the least node of the poset (its subset row is all true) and its
-    projection is checked injective.  A thread x is then fixed by its
-    coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is compatible
-    because the transitions compose; so the threads are exactly these, one
-    per class a at the least node.  The transitions are homomorphisms
-    (proj_j = t_0j o proj_0 with proj_0 onto), so componentwise operations on
-    threads are the quotient operations at that node.  The least node comes
-    first in all_ideals order, so numbering threads by their class there is
-    their lexicographic order.
-
-    The canonical map proj_0 is a homomorphism by `build_inverse_system`'s
-    certificate check and injective, so an isomorphism once checked onto.
-    Cost: that of build_inverse_system plus O(n^2) for the one quotient
-    table read.
+    The threads are certified rather than searched for.  Node 0, first in
+    all_ideals order, is the zero ideal; the one check, O(n), is that it is
+    the least node (its subset row is all true) with the identity numbering
+    as projection.  A thread x is then fixed by its coordinate there,
+    x_j = t_0j(x_0), and each (t_0j(a))_j is compatible because the
+    transitions compose; so the threads are exactly these, one per a in A,
+    in lexicographic order.  The transitions are homomorphisms (proj_j =
+    t_0j o proj_0), so the operations on threads are A's own: the completion
+    is built on A's read-only tables, with A's certificate when A has one,
+    and the canonical map is the identity.  Cost: build_inverse_system's,
+    plus the O(n^2) range scan of the shared tables.
     """
     system = build_inverse_system(algebra, max_size)
-    least = np.flatnonzero(system.subset.all(axis=1))
-    if len(least) != 1:
-        raise InternalConsistencyError("the ideal poset has no least node")
-    canonical = system.projections[least[0]]
-    if len(np.unique(canonical)) != algebra.size:
-        raise InternalConsistencyError("the projection at the least node is not injective")
-    at_least = system.quotients[least[0]]
-    completion = FiniteMVAlgebra(at_least.size, at_least.zero, at_least.oplus_table, at_least.neg_table)
-    completion._cache.update(at_least._cache)  # the quotient's certificate
-    iso = np.array_equal(np.unique(canonical), np.arange(completion.size))
-    return CompletionResult(system, completion, tuple(canonical.tolist()), iso)
+    canonical = system.projections[0]
+    if not (system.subset[0].all() and np.array_equal(canonical, np.arange(algebra.size))):
+        raise InternalConsistencyError("the zero ideal is not the least node with the identity projection")
+    completion = FiniteMVAlgebra(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
+    if "decomposition" in algebra._cache:
+        completion._cache["decomposition"] = algebra._cache["decomposition"]
+    return CompletionResult(system, completion, tuple(canonical.tolist()), True)
 
 
 # -- Boolean-center verification reports -----------------------------------
@@ -213,7 +204,7 @@ class CenterCorrespondenceReport:
 
 def verify_center_correspondence(algebra: FiniteMVAlgebra,
                                  max_size=DEFAULT_MAX_SIZE) -> CenterCorrespondenceReport:
-    """Check the center ideal correspondence on a regular finite algebra.
+    """Check the center ideal correspondence (every finite algebra is regular).
 
     psi_i = ideals[i] n B(A) is the center ideal generated by g_i, looked up
     by generator; it is well defined when each center element and each psi_i
@@ -225,9 +216,6 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     sending the class of c to that of emb c, since proj_j = t_ij o proj_i.
     """
     center, emb = center_algebra(algebra)
-    if not _is_regular(algebra, center, emb, max_size):
-        raise PreconditionError("center correspondence requires a regular algebra")
-
     system = build_inverse_system(algebra, max_size)
     lattice, lattice_c = ideal_lattice(algebra, max_size), ideal_lattice(center, max_size)
     emb = np.asarray(emb)
@@ -246,7 +234,7 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         reverses = bool((system.subset | ~through_psi).all())
         system_c = build_inverse_system(center, max_size)
         O, N = algebra.oplus_table, algebra.neg_table
-        self_meet = N[O[N[O[N[N], N[N]]], N[N]]]  # x ^ neg x, as in boolean_center
+        self_meet = N[O[N[O[N[N], N[N]]], N[N]]]  # x ^ neg x, as in decompose
 
         def theta_is_iso(proj, reps, proj_c):
             image = proj[emb]
@@ -288,10 +276,9 @@ class CenterCompletionReport:
 
 def verify_center_completion_commute(algebra: FiniteMVAlgebra,
                                      max_size=DEFAULT_MAX_SIZE) -> CenterCompletionReport:
-    """Compare B(completion of A) with the completion of B(A), both computed."""
-    center, emb = center_algebra(algebra)
-    if not _is_regular(algebra, center, emb, max_size):
-        raise PreconditionError("center/completion comparison requires a regular algebra")
+    """Compare B(completion of A) with the completion of B(A), both computed
+    (every finite algebra is regular)."""
+    center, _ = center_algebra(algebra)
     completed = profinite_completion(algebra, max_size).completion
     center_of_completion, _ = center_algebra(completed)
     completed_center = profinite_completion(center, max_size).completion

@@ -23,8 +23,8 @@ The certificate (`Decomposition`: the center atoms, their chain orders and
 the n x k digit array) is cached on the algebra under "decomposition".
 `from_tables` finds it through `decompose`; `chain_algebra`, `product`
 (from its factors' certificates), `center_algebra` and `ideals.quotient`
-attach it by construction in O(n*k), so the ideal layer reads quotients and
-maximal ideals off the digits without recomputing it.
+attach it by construction in O(n*k), so the center, quotients and maximal
+ideals are read off the digits without recomputing it.
 """
 
 from __future__ import annotations
@@ -325,25 +325,15 @@ def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
 def boolean_center(algebra: FiniteMVAlgebra):
     """All a with a ^ neg a = 0, and the atoms of that Boolean subalgebra.
 
-    a ^ neg a is the lattice-table formula at the n pairs (a, neg a) only,
-    neg(u v w) for u = neg a, w = neg neg a and u v w = neg(neg u (+) w) (+) w,
-    so no n x n table is built.  Returns (members, atoms), both as index
-    tuples sorted ascending.
+    In a chain only 0 and the top have x ^ neg x = 0, so the members are the
+    rows of certificate digits all 0 or top, and the atoms the certificate's:
+    O(n*k), no order matrix.  Returns (members, atoms), both as index tuples
+    sorted ascending.
     """
-    O, N = algebra.oplus_table, algebra.neg_table
-    u, w = N, N[N]
-    mask = N[O[N[O[N[u], w]], w]] == algebra.zero
-    members = np.flatnonzero(mask)
-
-    sub_op = O[np.ix_(members, members)]
-    if not (mask[sub_op].all() and mask[N[members]].all()):
-        raise InternalConsistencyError("Boolean center is not closed under the operations")
-
-    leq = algebra.leq_matrix
-    nonzero = members[members != algebra.zero]
-    sub = leq[np.ix_(nonzero, nonzero)]
-    atoms = nonzero[sub.sum(axis=0) == 1]  # nothing nonzero strictly below
-    return tuple(int(b) for b in members), tuple(int(a) for a in atoms)
+    cert = _certificate(algebra)
+    tops = np.asarray(cert.chain_orders, dtype=np.int32) - 1
+    members = np.flatnonzero(((cert.digits == 0) | (cert.digits == tops)).all(axis=1))
+    return tuple(members.tolist()), cert.atoms
 
 
 def center_algebra(algebra: FiniteMVAlgebra):
@@ -362,7 +352,7 @@ def center_algebra(algebra: FiniteMVAlgebra):
         sub._cache["decomposition"] = Decomposition(
             tuple(int(pos[a]) for a in cert.atoms), (2,) * len(cert.atoms),
             _frozen((cert.digits[emb] != 0).astype(np.int32)))
-    return sub, tuple(int(m) for m in members)
+    return sub, members
 
 
 def interval_algebra(algebra: FiniteMVAlgebra, a: int):
@@ -433,7 +423,9 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
 
     A certificate already attached (by `chain_algebra`, `product`,
     `center_algebra` or an earlier call) is read back.  Otherwise: the atoms
-    of the Boolean center, each interval below one totally ordered, x's digit
+    of the Boolean center (the a with a ^ neg a = 0, which must be closed
+    under the operations, else InternalConsistencyError, least nonzero in the
+    order matrix), each interval below one totally ordered, x's digit
     there the rank of x ^ a = neg(neg x (+) neg a); every meet must lie in
     the interval, zero has digits 0 and the mixed-radix codes must be 0..n-1
     in some order, all O(n*k).  The sum is one comparison, code[x (+) y]
@@ -449,10 +441,19 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         return cert
     if algebra.size == 1:
         raise DecompositionError("the trivial algebra has no chain decomposition")
-    _, atoms = boolean_center(algebra)
-    leq = algebra.leq_matrix
     O, N = algebra.oplus_table, algebra.neg_table
     n = algebra.size
+    # a ^ neg a = neg(u v w), u = neg a, w = neg neg a, u v w = neg(neg u (+) w) (+) w
+    u, w = N, N[N]
+    mask = N[O[N[O[N[u], w]], w]] == algebra.zero
+    center = np.flatnonzero(mask)
+    sub_op = O[np.ix_(center, center)]
+    if not (mask[sub_op].all() and mask[N[center]].all()):
+        raise InternalConsistencyError("Boolean center is not closed under the operations")
+    leq = algebra.leq_matrix
+    nonzero = center[center != algebra.zero]
+    sub = leq[np.ix_(nonzero, nonzero)]
+    atoms = nonzero[sub.sum(axis=0) == 1].tolist()  # nothing nonzero strictly below
 
     orders, digit_rows = [], []
     for a in atoms:
@@ -480,6 +481,17 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     digits = _frozen(np.stack(digit_rows, axis=1))
     cert = algebra._cache["decomposition"] = Decomposition(tuple(atoms), tuple(orders), digits)
     return cert
+
+
+def _certificate(algebra: FiniteMVAlgebra) -> Decomposition:
+    """The algebra's chain-product certificate, the empty product for the
+    trivial algebra; an algebra without one is broken."""
+    if algebra.size == 1:
+        return Decomposition((), (), np.zeros((1, 0), dtype=np.int32))
+    try:
+        return decompose(algebra)
+    except DecompositionError as exc:
+        raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 
 
 def are_isomorphic(a: FiniteMVAlgebra, b: FiniteMVAlgebra) -> bool:

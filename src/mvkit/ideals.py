@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DecompositionError,
     InternalConsistencyError,
     NotAnIdealError,
     PreconditionError,
@@ -35,9 +34,8 @@ from .finite import (
     DEFAULT_MAX_SIZE,
     Decomposition,
     FiniteMVAlgebra,
+    _certificate,
     _frozen,
-    center_algebra,
-    decompose,
     index_dtype,
 )
 
@@ -138,17 +136,6 @@ def zero_ideal(algebra: FiniteMVAlgebra) -> Ideal:
 
 def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
     return _ideal(algebra, frozenset(range(algebra.size)), algebra.one)
-
-
-def _certificate(algebra: FiniteMVAlgebra) -> Decomposition:
-    """The algebra's chain-product certificate, the empty product for the
-    trivial algebra; an algebra without one is broken."""
-    if algebra.size == 1:
-        return Decomposition((), (), np.zeros((1, 0), dtype=np.int32))
-    try:
-        return decompose(algebra)
-    except DecompositionError as exc:
-        raise InternalConsistencyError(f"no chain-product certificate: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,18 +342,15 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
 
 def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?
-    Both primality tests read lattice flags; cost: the two lattice passes."""
-    return _is_regular(algebra, *center_algebra(algebra), max_size)
 
-
-def _is_regular(algebra, center, emb, max_size) -> bool:
-    """`is_regular` on an already built (center, embedding) pair."""
-    center_core = _lattice_core(center, max_size)
-    core = _lattice_core(algebra, None)
-    for members, prime in zip(center_core.members, center_core.prime):
-        if not prime:
-            continue
-        generated = generated_ideal(algebra, {emb[m] for m in members})
-        if not core.prime[core.index[generated.members]]:
-            return False
+    Always, given the certificate A = prod_{j in K} L_{n_j}: the center is
+    the x with every digit 0 or top, its prime ideals the P_j = {c : c_j = 0}.
+    Central elements are idempotent, so P_j generates the down-set of its
+    join (digit 0 at j, top elsewhere), M_j = {x : x_j = 0}, which is prime
+    as A/M_j is the chain L_{n_j}.  Tables without a certificate raise
+    InternalConsistencyError; `max_size` caps `algebra.size`.
+    """
+    if max_size is not None and algebra.size > max_size:
+        raise ResourceCapError(algebra.size, max_size)
+    _certificate(algebra)
     return True

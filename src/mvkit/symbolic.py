@@ -158,7 +158,7 @@ class SymbolicElement:
             if not 0 <= v <= order - 1:
                 raise SchemaError(f"prefix value {v} invalid in the {order}-element chain at {x}")
         for x in spec.prefix_overrides:
-            if (spec.limit is None or x < spec.limit) and x not in prefix:
+            if x not in prefix:
                 raise SchemaError(
                     f"index {x} has an overridden chain order and needs an explicit prefix value")
         for r, v in enumerate(class_values):
@@ -275,15 +275,13 @@ class SymbolicElement:
 
 def zero_element(spec: IndexSpec) -> SymbolicElement:
     values = tuple(0 if isinstance(c, ConstClass) else ZERO for c in spec.classes)
-    prefix = {x: 0 for x in spec.prefix_overrides
-              if spec.limit is None or x < spec.limit}
+    prefix = {x: 0 for x in spec.prefix_overrides}
     return SymbolicElement(spec, spec.period, prefix, values)
 
 
 def top_element(spec: IndexSpec) -> SymbolicElement:
     values = tuple(c.order - 1 if isinstance(c, ConstClass) else TOP for c in spec.classes)
-    prefix = {x: spec.order_at(x) - 1 for x in spec.prefix_overrides
-              if spec.limit is None or x < spec.limit}
+    prefix = {x: spec.order_at(x) - 1 for x in spec.prefix_overrides}
     return SymbolicElement(spec, spec.period, prefix, values)
 
 
@@ -335,27 +333,13 @@ def ultrafilter_limit(f: SymbolicElement, ultra: SymbolicUltrafilter) -> Fractio
     return f.eventual_value(ultra.residue % f.modulus)
 
 
-def _sublevel_residues(f: SymbolicElement, eps: Fraction):
-    """Residues mod f.modulus on which f is eventually below eps."""
-    return {r for r in range(f.modulus) if f.eventual_value(r) < eps}
-
-
 def in_kernel(f: SymbolicElement, ultra: SymbolicUltrafilter) -> bool:
-    """Membership of f in the maximal ideal of the ultrafilter.
-
-    Decided through the sublevel sets {x : f(x) < eps}: the ideal contains f
-    exactly when every sublevel set belongs to the ultrafilter.  f attains
-    finitely many values, so the sublevel sets change only at those values
-    and it suffices to test the positive attained values as thresholds.
+    """Membership of f in the maximal ideal of the ultrafilter U, which is
+    {f : lim_U f = 0}: the ideal contains f exactly when every sublevel set
+    {x : f(x) < eps}, eps > 0, belongs to U, that is when lim_U f < eps for
+    every eps > 0.
     """
-    ultra.validate_for(f.spec)
-    if ultra.kind == "principal":
-        x = ultra.index
-        thresholds = {f.value_at(x)} - {Fraction(0)}
-        return all(f.value_at(x) < eps for eps in thresholds)
-    thresholds = {f.eventual_value(r) for r in range(f.modulus)} - {Fraction(0)}
-    target = ultra.residue % f.modulus
-    return all(target in _sublevel_residues(f, eps) for eps in thresholds)
+    return ultrafilter_limit(f, ultra) == 0
 
 
 @dataclass(frozen=True)

@@ -4,22 +4,27 @@ The oracles here deliberately avoid the implementation's own shortcuts:
 ideal enumeration scans raw subsets or closes each element under the sum and
 the order, ideals are classified one at a time (maximality by a scan over all
 ideals, primality by a sweep over meets of non-members) and decomposed
-through a quotient, the lattice is read off the Boolean center and the order
-matrix (`lattice_by_center`), classes are numbered by sorting and put
+through a quotient, the Boolean center is found from the tables by the
+a ^ neg a = 0 formula with its closure check (`center_by_formula`), the
+lattice is read off that center and the order matrix (`lattice_by_center`),
+regularity from the two lattices' prime flags (`is_regular_by_lattice`),
+classes are numbered by sorting and put
 through the congruence, negation and kernel checks the certificate makes
 redundant (`classes_by_unique`, `congruence_failures`), ideals are checked
 clause by clause, quotients are built
 from the distance term and their induced sum checked at all n^2 pairs
 (`check_induced_sum`), chain-product certificates are recomputed by
 `decompose` on re-validated tables and checked a homomorphism one atom at a
-time (`decompose_by_atoms`), products by one strided gather per factor, table
+time from the formula's center (`decompose_by_atoms`), products by one
+strided gather per factor, table
 axioms by the exhaustive sweep (associativity by a loop over z),
 isomorphism testing searches for an explicit bijective
 homomorphism, completion threads are found by a backtracking search, the
 inverse system is built eagerly with every transition checked at every
 comparable pair, the center correspondence is checked element by element
-with dict-built maps, and lattice facts are recomputed from the numeric
-order of chain elements.
+with dict-built maps, kernel membership along an ultrafilter is decided by
+sublevel sets (`in_kernel_by_sublevels`), and lattice facts are recomputed
+from the numeric order of chain elements.
 """
 
 from __future__ import annotations
@@ -175,13 +180,30 @@ def is_ideal_by_clauses(algebra, members):
     return bool((below <= mask).all())
 
 
+def center_by_formula(algebra):
+    """(members, atoms) of the Boolean center from the tables alone: the a
+    with a ^ neg a = 0 by the lattice-table formula at the n pairs
+    (a, neg a), checked closed under the sum and negation, and the atoms as
+    the nonzero members with no nonzero member strictly below in the order
+    matrix; raises InternalConsistencyError when the center is not closed."""
+    O, N = algebra.oplus_table, algebra.neg_table
+    u, w = N, N[N]
+    mask = N[O[N[O[N[u], w]], w]] == algebra.zero
+    members = np.flatnonzero(mask)
+    if not (mask[O[np.ix_(members, members)]].all() and mask[N[members]].all()):
+        raise mv.InternalConsistencyError("Boolean center is not closed under the operations")
+    nonzero = members[members != algebra.zero]
+    atoms = nonzero[algebra.leq_matrix[np.ix_(nonzero, nonzero)].sum(axis=0) == 1]
+    return tuple(int(b) for b in members), tuple(int(a) for a in atoms)
+
+
 def lattice_by_center(algebra):
-    """The ideal lattice read off the Boolean center: each central element's
+    """The ideal lattice read off `center_by_formula`: each central element's
     down-set from the order matrix (every center member checked idempotent),
     sorted by (size, member list); inclusion is the order on the generators,
     maximal means no other proper ideal above, prime means proper with the
     ideals above forming a chain."""
-    center = np.asarray(mv.boolean_center(algebra)[0], dtype=np.int64)
+    center = np.asarray(center_by_formula(algebra)[0], dtype=np.int64)
     if (algebra.oplus_table[center, center] != center).any():
         raise mv.InternalConsistencyError("a central element is not idempotent")
     leq = algebra.leq_matrix
@@ -197,6 +219,22 @@ def lattice_by_center(algebra):
     prime = proper & np.asarray(chain_above, dtype=bool)
     return types.SimpleNamespace(members=[frozenset(downs[c]) for c in order], generators=generators,
                                  subset=subset, prime=prime, maximal=maximal)
+
+
+def is_regular_by_lattice(algebra):
+    """Does every prime ideal of the Boolean center generate a prime ideal?
+    Both primality tests read the two lattices' prime flags: each prime
+    ideal of the center algebra is embedded, the ideal it generates found by
+    `generated_ideal` and looked up in the algebra's lattice."""
+    center, emb = mv.center_algebra(algebra)
+    lattice_c, lattice = mv.ideals.ideal_lattice(center), mv.ideals.ideal_lattice(algebra)
+    for members, prime in zip(lattice_c.members, lattice_c.prime):
+        if not prime:
+            continue
+        generated = mv.generated_ideal(algebra, {emb[m] for m in members})
+        if not lattice.prime[lattice.index[generated.members]]:
+            return False
+    return True
 
 
 def congruence_failures(algebra, members, class_of, reps):
@@ -295,11 +333,11 @@ def certificate_by_revalidation(algebra):
 
 
 def decompose_by_atoms(algebra):
-    """(atoms, chain orders, digits) of the chain decomposition with the sum
-    checked one atom at a time, digits[O] == min(digits + digits, order - 1)
+    """(atoms, chain orders, digits) of the chain decomposition, the atoms
+    from `center_by_formula`, with the sum checked one atom at a time, digits[O] == min(digits + digits, order - 1)
     for each atom's digit row (k n x n comparisons), then bijectivity by
     mixed-radix codes; raises DecompositionError where that check fails."""
-    _, atoms = mv.boolean_center(algebra)
+    _, atoms = center_by_formula(algebra)
     leq = algebra.leq_matrix
     O, N = algebra.oplus_table.astype(np.int64), algebra.neg_table.astype(np.int64)
     n = algebra.size
@@ -622,6 +660,24 @@ def center_correspondence_by_loops(algebra):
 
 def truncadd(x: Fraction, y: Fraction) -> Fraction:
     return min(x + y, Fraction(1))
+
+
+def in_kernel_by_sublevels(f, ultra):
+    """Membership of f in the maximal ideal of the ultrafilter through the
+    sublevel sets {x : f(x) < eps}: the ideal contains f exactly when every
+    sublevel set belongs to the ultrafilter.  f attains finitely many values,
+    so the sublevel sets change only at those values and it suffices to test
+    the positive attained values as thresholds."""
+    ultra.validate_for(f.spec)
+    if ultra.kind == "principal":
+        x = ultra.index
+        thresholds = {f.value_at(x)} - {Fraction(0)}
+        return all(f.value_at(x) < eps for eps in thresholds)
+    thresholds = {f.eventual_value(r) for r in range(f.modulus)} - {Fraction(0)}
+    target = ultra.residue % f.modulus
+    # the residues mod f.modulus on which f is eventually below eps
+    return all(target in {r for r in range(f.modulus) if f.eventual_value(r) < eps}
+               for eps in thresholds)
 
 
 # -- randomized symbolic data ----------------------------------------------

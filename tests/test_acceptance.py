@@ -23,6 +23,7 @@ from mvkit.errors import MVAxiomError, ResourceCapError
 from conftest import (
     bundled_specs,
     ideals_by_subset_scan,
+    in_kernel_by_sublevels,
     random_symbolic_element,
     random_ultrafilter,
     shuffled,
@@ -152,7 +153,8 @@ def test_criterion_7_limit_homomorphism_suite():
             for _ in range(100):
                 f = random_symbolic_element(spec, rng)
                 ultra = random_ultrafilter(spec, rng)
-                assert mv.in_kernel(f, ultra) == (mv.ultrafilter_limit(f, ultra) == 0)
+                zero_limit = mv.ultrafilter_limit(f, ultra) == 0
+                assert mv.in_kernel(f, ultra) == in_kernel_by_sublevels(f, ultra) == zero_limit
 
 
 def test_criterion_8_truncation_oracle_suite():

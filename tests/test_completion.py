@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mvkit as mv
-from mvkit.errors import InternalConsistencyError
+from mvkit.errors import DecompositionError, InternalConsistencyError
 
 from conftest import (
     center_correspondence_by_loops,
@@ -181,6 +181,23 @@ def test_completion_examples():
 
     res = mv.profinite_completion(mv.trivial_algebra())
     assert res.thread_count == 1 and res.is_isomorphism
+
+
+def test_completion_is_the_algebra_on_its_own_tables(family):
+    """The zero ideal's projection is the identity, so the completion has
+    A's tables and certificate; the trivial algebra's completion has none."""
+    rng = random.Random(47)
+    for combo, algebra in family:
+        for A in (algebra, shuffled(algebra, rng)):
+            completion = mv.profinite_completion(A).completion
+            assert completion.zero == A.zero, combo
+            assert np.array_equal(completion.oplus_table, A.oplus_table), combo
+            assert np.array_equal(completion.neg_table, A.neg_table), combo
+            got, want = completion._cache["decomposition"], mv.decompose(A)
+            assert (got.atoms, got.chain_orders) == (want.atoms, want.chain_orders), combo
+            assert np.array_equal(got.digits, want.digits), combo
+    with pytest.raises(DecompositionError):
+        mv.decompose(mv.profinite_completion(mv.trivial_algebra()).completion)
 
 
 def test_completion_canonical_map_kernel_and_image(family):

@@ -24,6 +24,7 @@ from conftest import (
     axiom_failure_by_sweep,
     build_family,
     bundled_specs,
+    center_by_formula,
     certificate_by_revalidation,
     decompose_by_atoms,
     exists_isomorphism,
@@ -262,6 +263,20 @@ def test_center_size_counts_factors(family):
         members, atoms = mv.boolean_center(algebra)
         assert len(members) == 2 ** len(combo)
         assert len(atoms) == len(combo)
+
+
+def test_boolean_center_matches_formula_oracle(family):
+    """The center read off the certificate is the table formula's on the
+    shuffled family (certificate found by `decompose`), its quotients and
+    center algebras (certificates attached by construction) and relabeled
+    `from_tables` inputs."""
+    rng = random.Random(41)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        cases = [A, mv.center_algebra(A)[0], mv.from_tables(*mv.as_tables(shuffled(algebra, rng)))]
+        cases += [mv.quotient(A, ideal)[0] for ideal in mv.all_ideals(A)]
+        for B in cases:
+            assert mv.boolean_center(B) == center_by_formula(B), (combo, B.size)
 
 
 def test_interval_algebra_examples():

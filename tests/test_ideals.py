@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import mvkit as mv
-from mvkit.errors import InternalConsistencyError, NotAnIdealError, PreconditionError
+from mvkit.errors import (
+    InternalConsistencyError,
+    NotAnIdealError,
+    PreconditionError,
+    ResourceCapError,
+)
 
 from conftest import (
     check_induced_sum,
@@ -19,6 +24,7 @@ from conftest import (
     ideals_by_closure,
     ideals_by_subset_scan,
     is_ideal_by_clauses,
+    is_regular_by_lattice,
     lattice_by_center,
     maximal_decomposition_by_quotient,
     quotient_by_distance,
@@ -294,6 +300,17 @@ def test_is_regular_examples(family):
     for combo, algebra in family:
         if algebra.size <= 48:
             assert mv.is_regular(algebra)
+
+
+def test_is_regular_matches_lattice_oracle(family):
+    rng = random.Random(43)
+    cases = [shuffled(algebra, rng) for _, algebra in family]
+    cases += [L(n) for n in range(2, 9)] + [mv.trivial_algebra()]
+    for A in cases:
+        assert mv.is_regular(A) == is_regular_by_lattice(A), A.size
+    # the cap is on the algebra, not on its 4-element center
+    with pytest.raises(ResourceCapError):
+        mv.is_regular(mv.product([L(3), L(3)]), max_size=8)
 
 
 def test_ideal_lattice_matches_oracles(family):
