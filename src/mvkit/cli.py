@@ -32,6 +32,7 @@ from .errors import (
 from .finite import (
     DEFAULT_MAX_SIZE,
     FiniteMVAlgebra,
+    _certificate,
     as_tables,
     boolean_center,
     chain_algebra,
@@ -230,26 +231,16 @@ def index_spec_document(spec: IndexSpec) -> dict:
     }
 
 
-def _rank_json(rank):
-    return rank if rank is None or isinstance(rank, int) else str(rank)
-
-
 def descriptor_json(desc) -> dict:
     if desc is None:
         return None
-    out = {"kind": desc.kind, "rank": _rank_json(desc.rank), "principal": desc.principal}
+    out = {"kind": desc.kind, "rank": desc.rank, "principal": desc.principal}
     if desc.kind == "principal":
         out["index"] = desc.index
     else:
         out["residue"] = desc.residue
         out["modulus"] = desc.modulus
     return out
-
-
-def _sorted_orders(algebra) -> list:
-    if algebra.size == 1:
-        return []
-    return list(decompose(algebra).sorted_orders)
 
 
 # -- command handlers -------------------------------------------------------
@@ -357,12 +348,13 @@ def cmd_complete(args, doc):
             "finite_orders": list(report.finite_orders) if report.finite_orders is not None else None,
         }, 0
     result = profinite_completion(value, args.max_size)
+    orders = list(_certificate(result.completion).sorted_orders)
     return {
         "strongly_complete": result.is_isomorphism,
         "thread_count": result.thread_count,
         "ideal_count": len(result.system.ideals),
-        "chain_orders": _sorted_orders(result.completion),
-        "completion": product_document(_sorted_orders(result.completion)),
+        "chain_orders": orders,
+        "completion": product_document(orders),
     }, 0
 
 

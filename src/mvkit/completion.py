@@ -6,12 +6,12 @@ certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
 the projection onto the other coordinates and each transition a further
 projection: the system is one array of class indices, and quotient tables
 and transitions are built only when read.  The completion is A on its own
-tables: the zero ideal is the least node and its projection the identity.
+tables: the zero ideal is node 0 and its projection the identity.
 
-Two reports cover the Boolean center (every finite algebra is regular): the
-ideal correspondence I -> I n B(A) with the induced quotient isomorphisms and
-their commuting squares (array checks on the two lattices), and the center
-of the completion against the completion of the center.
+Two reports cover the Boolean center (every finite algebra is regular), on
+A's inverse system alone: the ideal correspondence I -> I n B(A) with the
+induced quotient isomorphisms and their commuting squares (array checks on
+the two lattices), and B(completion of A) against B(A), its own completion.
 """
 
 from __future__ import annotations
@@ -151,26 +151,24 @@ def profinite_completion(algebra: FiniteMVAlgebra,
                          max_size=DEFAULT_MAX_SIZE) -> CompletionResult:
     """The compatible-thread subalgebra and the canonical map into it.
 
-    The threads are certified rather than searched for.  Node 0, first in
-    all_ideals order, is the zero ideal; the one check, O(n), is that it is
-    the least node (its subset row is all true) with the identity numbering
-    as projection.  A thread x is then fixed by its coordinate there,
-    x_j = t_0j(x_0), and each (t_0j(a))_j is compatible because the
-    transitions compose; so the threads are exactly these, one per a in A,
-    in lexicographic order.  The transitions are homomorphisms (proj_j =
-    t_0j o proj_0), so the operations on threads are A's own: the completion
-    is built on A's read-only tables, with A's certificate when A has one,
-    and the canonical map is the identity.  Cost: build_inverse_system's,
-    plus the O(n^2) range scan of the shared tables.
+    The threads are certified rather than searched for, with no check: the
+    (size, members) order puts {0}, the only one-element ideal and the least
+    node, at node 0, keyed by the identity row keys[0] = arange(n) (its
+    support is empty), which numbers to itself.  A thread x is then fixed by
+    its coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is
+    compatible because the transitions compose; so the threads are exactly
+    these, one per a in A, in lexicographic order.  The transitions are
+    homomorphisms (proj_j = t_0j o proj_0), so the operations on threads are
+    A's own: the completion is built on A's read-only tables, with A's
+    certificate when A has one, and the canonical map is the identity,
+    tuple(range(n)).  Cost: build_inverse_system's, plus the O(n^2) range
+    scan of the shared tables.
     """
     system = build_inverse_system(algebra, max_size)
-    canonical = system.projections[0]
-    if not (system.subset[0].all() and np.array_equal(canonical, np.arange(algebra.size))):
-        raise InternalConsistencyError("the zero ideal is not the least node with the identity projection")
     completion = FiniteMVAlgebra(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
     if "decomposition" in algebra._cache:
         completion._cache["decomposition"] = algebra._cache["decomposition"]
-    return CompletionResult(system, completion, tuple(canonical.tolist()), True)
+    return CompletionResult(system, completion, tuple(range(algebra.size)), True)
 
 
 # -- Boolean-center verification reports -----------------------------------
@@ -209,14 +207,16 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     psi_i = ideals[i] n B(A) is the center ideal generated by g_i, looked up
     by generator; it is well defined when each center element and each psi_i
     has A's support, which decides membership (O(K + |B|) for K ideals).
-    theta_i sends a class of B(A)/psi_i to the one class in A/I_i of its
-    embedded members and must be a bijection onto the central classes ([x]
-    is central iff x ^ neg x is in I_i): an isomorphism, proj_c being an onto
-    homomorphism, in O(n) a node.  The squares then commute, both ways round
-    sending the class of c to that of emb c, since proj_j = t_ij o proj_i.
+    theta_i sends a class of B(A)/psi_i to the class in A/I_i of its
+    embedded members: B(A) has A's operations, so d(c, c') is central and in
+    psi_i iff in I_i, B's classes are A's met with the center, and theta_i
+    is well defined and injective by construction.  The one check, O(n) a
+    node, is that it hits exactly the central classes ([x] is central iff
+    x ^ neg x is in I_i), so it is an isomorphism; the squares commute, both
+    ways round sending [c] to [emb c], since proj_j = t_ij o proj_i.
     """
+    system = build_inverse_system(algebra, max_size)   # checks the certificate center_algebra reads
     center, emb = center_algebra(algebra)
-    system = build_inverse_system(algebra, max_size)
     lattice, lattice_c = ideal_lattice(algebra, max_size), ideal_lattice(center, max_size)
     emb = np.asarray(emb)
     center_node = np.full(algebra.size, -1)
@@ -232,21 +232,16 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
         through_psi = lattice_c.subset[np.ix_(psi, psi)]
         preserves = bool((through_psi | ~system.subset).all())
         reverses = bool((system.subset | ~through_psi).all())
-        system_c = build_inverse_system(center, max_size)
         O, N = algebra.oplus_table, algebra.neg_table
         self_meet = N[O[N[O[N[N], N[N]]], N[N]]]  # x ^ neg x, as in decompose
 
-        def theta_is_iso(proj, reps, proj_c):
-            image = proj[emb]
-            theta = np.empty(proj_c.max() + 1, dtype=image.dtype)
-            theta[proj_c] = image
+        def theta_is_iso(proj, reps):
             hit = np.zeros(len(reps), dtype=bool)
-            hit[theta] = True
+            hit[proj[emb]] = True
             central = proj[self_meet[reps]] == proj[algebra.zero]
-            return (theta[proj_c] == image).all() and (hit == central).all() and hit.sum() == len(theta)
+            return (hit == central).all()
 
-        isos_ok = all(theta_is_iso(proj, reps, system_c.projections[c])
-                      for proj, reps, c in zip(system.projections, system.reps, psi.tolist()))
+        isos_ok = all(map(theta_is_iso, system.projections, system.reps))
 
     return CenterCorrespondenceReport(
         ideal_count=len(psi),
@@ -276,14 +271,14 @@ class CenterCompletionReport:
 
 def verify_center_completion_commute(algebra: FiniteMVAlgebra,
                                      max_size=DEFAULT_MAX_SIZE) -> CenterCompletionReport:
-    """Compare B(completion of A) with the completion of B(A), both computed
-    (every finite algebra is regular)."""
+    """Compare B(completion of A) with the completion of B(A) (every finite
+    algebra is regular).  Only A is completed, with its per-atom check: B(A)
+    carries `center_algebra`'s certificate, so is its own completion."""
+    completed = profinite_completion(algebra, max_size).completion   # checks what center_algebra reads
     center, _ = center_algebra(algebra)
-    completed = profinite_completion(algebra, max_size).completion
     center_of_completion, _ = center_algebra(completed)
-    completed_center = profinite_completion(center, max_size).completion
     return CenterCompletionReport(
         center_of_completion_size=center_of_completion.size,
-        completion_of_center_size=completed_center.size,
-        isomorphic=are_isomorphic(center_of_completion, completed_center),
+        completion_of_center_size=center.size,
+        isomorphic=are_isomorphic(center_of_completion, center),
     )

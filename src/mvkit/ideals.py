@@ -227,14 +227,14 @@ def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
              max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
     """Flags and generator g read off the lattice, which holds every ideal (a
-    set outside it is refused); proper is g != 1, and the rank of a maximal
-    ideal is its class count (`classes`, O(n*k))."""
+    set outside it is refused); proper is g != 1, and a maximal I = [0, g]
+    has rank n / |I|: each class of A = [0, g] x [0, neg g] has |I| members."""
     core = _lattice_core(algebra, max_size)
     i = core.index.get(ideal.members)
     if i is None:
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     g, maximal = int(core.generators[i]), bool(core.maximal[i])
-    rank = len(classes(algebra, _ideal(algebra, ideal.members, g))[1]) if maximal else None
+    rank = algebra.size // len(ideal.members) if maximal else None
     return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
 
 

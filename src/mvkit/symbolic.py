@@ -385,12 +385,18 @@ def maximal_ideal_census(spec: IndexSpec, principal_limit=None) -> tuple:
         MaximalIdealDescriptor("principal", rank=spec.order_at(x), principal=True, index=x)
         for x in range(window)
     ]
+    out += _free_classes(spec)
+    return tuple(out)
+
+
+def _free_classes(spec: IndexSpec):
+    """The census's free classes: one per residue class modulo the period of
+    an infinite index set, of rank INFINITE on an unbounded class."""
     if spec.is_infinite:
         for r, cls in enumerate(spec.classes):
             rank = cls.order if isinstance(cls, ConstClass) else INFINITE
-            out.append(MaximalIdealDescriptor(
-                "free_class", rank=rank, principal=False, residue=r, modulus=spec.period))
-    return tuple(out)
+            yield MaximalIdealDescriptor(
+                "free_class", rank=rank, principal=False, residue=r, modulus=spec.period)
 
 
 @dataclass(frozen=True)
@@ -403,20 +409,14 @@ def decide_strongly_complete(spec: IndexSpec) -> StrongCompletenessVerdict:
     """Is the presented product isomorphic to its own profinite completion?
 
     The product is profinite by construction, so the question reduces to
-    whether every finite-rank maximal ideal is principal.  Finite index sets
-    qualify outright.  On an infinite index set a constant class supports
-    free ultrafilters of finite rank (never principal), while all-unbounded
-    specs give every order finitely many indices, forcing infinite rank on
-    every free ultrafilter.
+    whether every finite-rank maximal ideal is principal: the census's free
+    classes are the non-principal ones, and the witness is the first of
+    finite rank.  Finite index sets have none; on an infinite one a constant
+    class has finite rank, an unbounded class infinite rank (every order
+    occurs at finitely many indices).
     """
-    if spec.limit is not None:
-        return StrongCompletenessVerdict(True, None)
-    for r, cls in enumerate(spec.classes):
-        if isinstance(cls, ConstClass):
-            witness = MaximalIdealDescriptor(
-                "free_class", rank=cls.order, principal=False, residue=r, modulus=spec.period)
-            return StrongCompletenessVerdict(False, witness)
-    return StrongCompletenessVerdict(True, None)
+    witness = next((d for d in _free_classes(spec) if d.rank != INFINITE), None)
+    return StrongCompletenessVerdict(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -451,13 +451,11 @@ class CompletionReport:
 
 def completion_report(spec: IndexSpec) -> CompletionReport:
     verdict = decide_strongly_complete(spec)
-    families = ()
-    if spec.is_infinite:
-        families = tuple(
-            FreeFactorFamily(residue=r, modulus=spec.period, order=cls.order)
-            for r, cls in enumerate(spec.classes)
-            if isinstance(cls, ConstClass)
-        )
+    families = tuple(
+        FreeFactorFamily(residue=d.residue, modulus=d.modulus, order=d.rank)
+        for d in _free_classes(spec)
+        if d.rank != INFINITE
+    )
     finite_orders = None
     if spec.limit is not None:
         finite_orders = tuple(spec.order_at(x) for x in range(spec.limit))

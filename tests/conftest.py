@@ -23,8 +23,9 @@ homomorphism, completion threads are found by a backtracking search, the
 inverse system is built eagerly with every transition checked at every
 comparable pair, the center correspondence is checked element by element
 with dict-built maps, kernel membership along an ultrafilter is decided by
-sublevel sets (`in_kernel_by_sublevels`), and lattice facts are recomputed
-from the numeric order of chain elements.
+sublevel sets (`in_kernel_by_sublevels`), strong completeness by a scan of
+the residue classes for a constant one (`decide_by_class_scan`), and
+lattice facts are recomputed from the numeric order of chain elements.
 """
 
 from __future__ import annotations
@@ -678,6 +679,21 @@ def in_kernel_by_sublevels(f, ultra):
     # the residues mod f.modulus on which f is eventually below eps
     return all(target in {r for r in range(f.modulus) if f.eventual_value(r) < eps}
                for eps in thresholds)
+
+
+def decide_by_class_scan(spec):
+    """The strong-completeness verdict from the spec's classes: a finite index
+    set qualifies outright; on an infinite one every constant class carries
+    free ultrafilters of finite rank, never principal, and the first such
+    class is the witness, while unbounded classes force infinite rank."""
+    if spec.limit is not None:
+        return mv.StrongCompletenessVerdict(True, None)
+    for r, cls in enumerate(spec.classes):
+        if isinstance(cls, mv.ConstClass):
+            witness = mv.MaximalIdealDescriptor(
+                "free_class", rank=cls.order, principal=False, residue=r, modulus=spec.period)
+            return mv.StrongCompletenessVerdict(False, witness)
+    return mv.StrongCompletenessVerdict(True, None)
 
 
 # -- randomized symbolic data ----------------------------------------------

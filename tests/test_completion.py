@@ -184,12 +184,18 @@ def test_completion_examples():
 
 
 def test_completion_is_the_algebra_on_its_own_tables(family):
-    """The zero ideal's projection is the identity, so the completion has
+    """Node 0 is the zero ideal, the least node, and its projection is the
+    identity, so the canonical map is the identity and the completion has
     A's tables and certificate; the trivial algebra's completion has none."""
     rng = random.Random(47)
     for combo, algebra in family:
         for A in (algebra, shuffled(algebra, rng)):
-            completion = mv.profinite_completion(A).completion
+            result = mv.profinite_completion(A)
+            system, completion = result.system, result.completion
+            assert system.ideals[0].members == frozenset({A.zero}), combo
+            assert system.subset[0].all(), combo
+            assert np.array_equal(system.projections[0], np.arange(A.size)), combo
+            assert result.canonical_map == tuple(range(A.size)), combo
             assert completion.zero == A.zero, combo
             assert np.array_equal(completion.oplus_table, A.oplus_table), combo
             assert np.array_equal(completion.neg_table, A.neg_table), combo
@@ -313,7 +319,8 @@ def test_inverse_system_rejects_a_corrupted_certificate():
             digits = np.array(cert.digits)
             digits[[x, y]] = digits[[y, x]]
             A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
-            for build in (mv.build_inverse_system, mv.profinite_completion):
+            for build in (mv.build_inverse_system, mv.profinite_completion,
+                          mv.verify_center_correspondence, mv.verify_center_completion_commute):
                 A._cache["ideal_lattice"] = core
                 with pytest.raises(InternalConsistencyError):
                     build(A)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mvkit as mv
 from mvkit.errors import (
@@ -17,6 +17,7 @@ from mvkit.errors import (
 
 from conftest import (
     bundled_specs,
+    decide_by_class_scan,
     in_kernel_by_sublevels,
     random_symbolic_element,
     random_ultrafilter,
@@ -283,6 +284,41 @@ def test_adding_const_class_never_restores_completeness(order, step, start):
     assert not mv.decide_strongly_complete(base).strongly_complete
     extended = mv.IndexSpec(3, list(base.classes) + [mv.ConstClass(order)])
     assert not mv.decide_strongly_complete(extended).strongly_complete
+
+
+SPEC_CLASSES = st.one_of(
+    st.builds(mv.ConstClass, st.integers(2, 6)),
+    st.builds(mv.UnboundedClass, st.integers(1, 3), st.integers(2, 5)),
+)
+
+
+@st.composite
+def index_specs(draw):
+    """Periods 1-4, constant and unbounded classes, up to two overrides, and
+    a finite (0-8 indices) or infinite index set."""
+    period = draw(st.integers(1, 4))
+    classes = draw(st.lists(SPEC_CLASSES, min_size=period, max_size=period))
+    limit = draw(st.none() | st.integers(0, 8))
+    overrides = {}
+    if limit != 0:
+        last = 7 if limit is None else limit - 1
+        overrides = draw(st.dictionaries(st.integers(0, last), st.integers(2, 6), max_size=2))
+    return mv.IndexSpec(period, classes, overrides, limit)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(index_specs())
+def test_verdicts_read_off_the_census_match_the_class_scan(spec):
+    """`decide_strongly_complete` and `completion_report`, both read off the
+    census's free classes, against the scan for a constant class; the
+    report's free families are the constant classes of an infinite set."""
+    want = decide_by_class_scan(spec)
+    assert mv.decide_strongly_complete(spec) == want
+    report = mv.completion_report(spec)
+    assert (report.strongly_complete, report.witness) == (want.strongly_complete, want.witness)
+    families = [(r, spec.period, cls.order) for r, cls in enumerate(spec.classes)
+                if spec.is_infinite and isinstance(cls, mv.ConstClass)]
+    assert [(f.residue, f.modulus, f.order) for f in report.free_families] == families
 
 
 def test_completion_reports():
