@@ -35,6 +35,7 @@ from .finite import (
     _certificate,
     as_tables,
     boolean_center,
+    capped_size,
     chain_algebra,
     decompose,
     from_tables,
@@ -152,6 +153,7 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
         _expect(isinstance(orders, list), "field 'orders' must be a list")
         _expect(all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in orders),
                 "chain orders must be integers >= 2")
+        capped_size(orders, max_size)   # before any chain is built
         return "finite", product([chain_algebra(n) for n in orders], max_size=max_size)
     if kind == "full_product":
         return "symbolic", parse_index_spec(doc)

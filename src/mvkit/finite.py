@@ -250,6 +250,17 @@ def _fold(tables, dtype) -> np.ndarray:
     return acc
 
 
+def capped_size(sizes, max_size=DEFAULT_MAX_SIZE) -> int:
+    """The product of `sizes`, refused with ResourceCapError at the first
+    running product above `max_size`: callers check it before building."""
+    total = 1
+    for size in sizes:
+        total *= size
+        if max_size is not None and total > max_size:
+            raise ResourceCapError(total, max_size)
+    return total
+
+
 def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Direct product with componentwise operations, last factor fastest; []
     gives the trivial algebra.
@@ -264,12 +275,7 @@ def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     factors = list(factors)
     if not factors:
         return trivial_algebra()
-    total = 1
-    for f in factors:
-        total *= f.size
-        if max_size is not None and total > max_size:
-            raise ResourceCapError(total, max_size)
-
+    total = capped_size([f.size for f in factors], max_size)
     dtype = index_dtype(total)
     oplus = _fold([f.oplus_table for f in factors], dtype)
     neg = _fold([f.neg_table for f in factors], dtype)

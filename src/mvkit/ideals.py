@@ -165,11 +165,11 @@ class IdealLattice(_LatticeCore):
 
 def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
     """The cached lattice pass; see `ideal_lattice`."""
+    if max_size is not None and algebra.size > max_size:
+        raise ResourceCapError(algebra.size, max_size)
     cached = algebra._cache.get("ideal_lattice")
     if cached is not None:
         return cached
-    if max_size is not None and algebra.size > max_size:
-        raise ResourceCapError(algebra.size, max_size)
     cert = _certificate(algebra)
     n, k = cert.digits.shape
     support = ((cert.digits != 0) @ (1 << np.arange(k))).astype(index_dtype(n))   # below 2^k <= n

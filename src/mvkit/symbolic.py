@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UltrafilterError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, chain_algebra, product
+from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, capped_size, chain_algebra, product
 
 ZERO = "zero"
 TOP = "top"
@@ -478,6 +478,7 @@ def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
     if max_indices is not None and count > max_indices:
         raise ResourceCapError(count, max_indices)
     orders = [spec.order_at(x) for x in range(count)]
+    capped_size(orders, max_size)   # before any chain is built
     return product([chain_algebra(n) for n in orders], max_size=max_size)
 
 

@@ -22,10 +22,12 @@ isomorphism testing searches for an explicit bijective
 homomorphism, completion threads are found by a backtracking search, the
 inverse system is built eagerly with every transition checked at every
 comparable pair, the center correspondence is checked element by element
-with dict-built maps, kernel membership along an ultrafilter is decided by
-sublevel sets (`in_kernel_by_sublevels`), strong completeness by a scan of
-the residue classes for a constant one (`decide_by_class_scan`), and
-lattice facts are recomputed from the numeric order of chain elements.
+with dict-built maps, the center of the completion against the completion
+of the center by the center's threads and an isomorphism search
+(`center_completion_by_threads`), kernel membership along an ultrafilter
+is decided by sublevel sets (`in_kernel_by_sublevels`), strong completeness
+by a scan of the residue classes for a constant one
+(`decide_by_class_scan`), and lattice facts are recomputed from the numeric order of chain elements.
 """
 
 from __future__ import annotations
@@ -656,6 +658,20 @@ def center_correspondence_by_loops(algebra):
         psi_reverses_inclusion=reverses,
         quotient_isos_ok=isos_ok,
         squares_ok=squares,
+    )
+
+
+def center_completion_by_threads(algebra):
+    """The center/completion report searched for: the completion of B(A) is
+    counted as the threads of B(A)'s eagerly built inverse system
+    (`threads_by_search`), and B(completion of A) is compared with B(A) by
+    an explicit isomorphism search."""
+    center, _ = mv.center_algebra(algebra)
+    center_of_completion, _ = mv.center_algebra(mv.profinite_completion(algebra).completion)
+    return mv.CenterCompletionReport(
+        center_of_completion_size=center_of_completion.size,
+        completion_of_center_size=len(threads_by_search(inverse_system_by_all_pairs(center))),
+        isomorphic=exists_isomorphism(center_of_completion, center),
     )
 
 

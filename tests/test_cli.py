@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mvkit import data
+from mvkit import cli, data
 from mvkit.cli import parse_algebra_document, run
 
 PRODUCT_23 = {"type": "product", "orders": [2, 3]}
@@ -99,11 +99,22 @@ def test_unwritable_out_reports_on_stdout(tmp_path, capsys, target):
     assert report["error"]["kind"] == "schema" and "cannot write the report" in report["error"]["message"]
 
 
-def test_resource_cap_exits_4(capsys):
+def test_resource_cap_exits_4(capsys, monkeypatch):
     code, report = invoke(capsys, "decompose", {"type": "product", "orders": [5] * 6})
     assert code == 4
     assert report["error"]["kind"] == "resource-cap"
     assert report["error"]["cap"] == 4096
+
+    # the running product of the orders meets the cap before any chain is
+    # built, with `product`'s message, so an order of 10^6 or 10^12 allocates nothing
+    def no_chain(order):
+        raise AssertionError(f"chain of order {order} built past the cap")
+
+    monkeypatch.setattr(cli, "chain_algebra", no_chain)
+    for orders, size in (([2, 1000000], 2000000), ([2, 10**12], 2 * 10**12), ([70, 70], 4900)):
+        code, report = invoke(capsys, "verify", {"type": "product", "orders": orders})
+        assert code == 4 and report["error"]["kind"] == "resource-cap"
+        assert report["error"]["message"] == f"carrier size {size} exceeds the cap of 4096"
 
 
 def test_decompose_product(capsys):

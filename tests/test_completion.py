@@ -15,6 +15,7 @@ import mvkit as mv
 from mvkit.errors import DecompositionError, InternalConsistencyError
 
 from conftest import (
+    center_completion_by_threads,
     center_correspondence_by_loops,
     certificate_by_revalidation,
     inverse_system_by_all_pairs,
@@ -264,6 +265,16 @@ def test_center_correspondence_matches_loop_oracle(family):
         A = shuffled(algebra, rng)
         assert vars(mv.verify_center_correspondence(A)) == \
             vars(center_correspondence_by_loops(A)), combo
+
+
+def test_center_completion_matches_thread_oracle(family):
+    rng = random.Random(71)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        assert vars(mv.verify_center_completion_commute(A)) == \
+            vars(center_completion_by_threads(A)), combo
+    for A in (mv.trivial_algebra(), L(7)):
+        assert vars(mv.verify_center_completion_commute(A)) == vars(center_completion_by_threads(A))
 
 
 def test_center_completion_examples():

@@ -90,6 +90,17 @@ def test_all_ideals_examples():
     assert len(mv.all_ideals(mv.trivial_algebra())) == 1
 
 
+def test_cached_lattice_still_meets_the_cap():
+    """The cap is checked before the cached lattice is read, so a smaller
+    cap on a second call still refuses."""
+    A = mv.product([L(3), L(2)])
+    assert len(mv.all_ideals(A)) == 4
+    with pytest.raises(ResourceCapError):
+        mv.all_ideals(A, max_size=4)
+    with pytest.raises(ResourceCapError):
+        mv.classify(A, mv.zero_ideal(A), max_size=4)
+
+
 def test_all_ideals_matches_subset_oracle():
     samples = [
         two_by_three(),

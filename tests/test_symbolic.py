@@ -347,13 +347,22 @@ def test_truncate_examples():
     assert mv.truncate(spec_4_5(), 0).size == 1
 
 
-def test_truncate_caps():
+def test_truncate_caps(monkeypatch):
+    def no_chain(order):
+        raise AssertionError(f"chain of order {order} built past the cap")
+
+    # every case is refused before a chain is built, an order of 10^6 too
+    monkeypatch.setattr(mv.symbolic, "chain_algebra", no_chain)
     with pytest.raises(ResourceCapError):
         mv.truncate(spec_4_5(), 8, max_size=4096)
     with pytest.raises(ResourceCapError):
         mv.truncate(spec_const(2), 20)                    # over the index window cap
     with pytest.raises(IndexRangeError):
         mv.truncate(mv.IndexSpec(1, [mv.ConstClass(2)], limit=3), 4)
+    with pytest.raises(ResourceCapError, match="carrier size 1000000 exceeds the cap of 4096"):
+        mv.truncate(spec_const(10**6), 1)
+    with pytest.raises(ResourceCapError, match="carrier size 2000000 exceeds the cap of 4096"):
+        mv.truncate(mv.IndexSpec(2, [mv.ConstClass(2), mv.ConstClass(10**6)]), 2)
 
 
 def test_truncate_element_digits():
