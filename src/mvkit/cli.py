@@ -19,8 +19,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .completion import profinite_completion
 from .errors import (
@@ -135,11 +138,15 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
         zero = _int_field(doc, "zero")
         oplus = doc.get("oplus")
         neg = doc.get("neg")
-        _expect(isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
-                "field 'oplus' must be a list of rows")
-        _expect(_all_ints(itertools.chain.from_iterable(oplus)), "field 'oplus' must contain integers")
+        # `_read_document` reads a plain oplus as a 2-d int64 array of integers;
+        # lists come from json.loads or a library caller
+        if not (isinstance(oplus, np.ndarray) and oplus.dtype == np.int64 and oplus.ndim == 2):
+            _expect(isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
+                    "field 'oplus' must be a list of rows")
+            _expect(_all_ints(itertools.chain.from_iterable(oplus)), "field 'oplus' must contain integers")
         _expect(isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
-        _expect(len(oplus) == size and all(len(r) == size for r in oplus),
+        _expect(len(oplus) == size and (oplus.shape[1] == size if isinstance(oplus, np.ndarray)
+                                        else all(len(r) == size for r in oplus)),
                 f"field 'oplus' must be a {size}x{size} matrix")
         _expect(len(neg) == size, f"field 'neg' must have {size} entries")
         labels = doc.get("labels")
@@ -311,10 +318,7 @@ def cmd_ideals(args, doc):
 
 def cmd_quotient(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "quotient")
-    try:
-        members = json.loads(args.ideal)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"--ideal must be a JSON list of element indices: {exc}") from exc
+    members = _json(args.ideal, "--ideal must be a JSON list of element indices")
     _expect(isinstance(members, list) and _all_ints(members),
             "--ideal must be a JSON list of element indices")
     ideal = make_ideal(algebra, members)
@@ -391,11 +395,7 @@ def cmd_census(args, doc):
 
 def cmd_limit(args, doc):
     spec = _require("symbolic", parse_algebra_document(doc, args.max_size), "limit")
-    try:
-        element_doc = json.loads(args.element)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"--element must be JSON: {exc}") from exc
-    element = parse_symbolic_element(element_doc, spec)
+    element = parse_symbolic_element(_json(args.element, "--element must be JSON"), spec)
     ultra = parse_ultrafilter(args.ultrafilter)
     value = ultrafilter_limit(element, ultra)
     return {
@@ -463,15 +463,150 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(text, what):
+    """json.loads(text); malformed or too deeply nested JSON is a schema error
+    that names `what`."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+# -- reading documents --------------------------------------------------------
+#
+# A `tables` document is mostly its oplus matrix: json.loads makes n^2 Python
+# ints of it.  `_read_arrays` reads the top-level "oplus" value straight into
+# an int64 array when it is plainly rows of non-negative integers, and every
+# other value with json's own scanner (`neg`'s n numbers cost less as a list
+# than one more array read).  A document with anything in doubt, or that it
+# cannot read whole, goes to json.loads, so results and messages are
+# json.loads's.
+
+_SCAN = json.JSONDecoder().scan_once     # one JSON value at an index, as json.loads reads it
+_SKIP = json.decoder.WHITESPACE.match
+_OPEN = re.compile(r"[ \t\n\r]*\{").match
+_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match   # a key with no escapes
+_NEXT = re.compile(r"[ \t\n\r]*([,}])").match
+_CHUNK = 1 << 16    # bytes of matrix rows checked and parsed at once
+_NESTING = 64       # brackets a value may hold and still be read here; deeper
+                    # values go to json.loads, whose recursion limit they meet
+_FIRST_DIGIT = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _int_rows(text, start, stop):
+    """text[start:stop] as an (r, k) int64 array when it is exactly r JSON rows
+    [d, ..., d] of k integers, joined by commas; else None.
+
+    Numbers must be plain: digits only, no leading zero, under 10^18 (int64
+    holds them exactly).  The bytes are checked as one token string against
+    the r x k pattern: every byte but JSON whitespace and a digit after a
+    digit is a token, each number's first digit read as "0", so a stray byte,
+    a missing or doubled comma and a number split by whitespace all break
+    it.  np.fromstring then reads the numbers, the brackets blanked.
+    """
+    a = np.frombuffer(text[start:stop].encode("ascii", "replace"), dtype=np.uint8)
+    digit = (a - 48) < 10
+    control = np.count_nonzero(a < 32)
+    if control and control != np.count_nonzero(((a - 9) < 2) | (a == 13)):
+        return None   # a control byte other than \t, \n and \r
+    token = a > 32
+    np.greater(token[1:], digit[1:] & digit[:-1], out=token[1:])   # a digit after a digit is none
+    pos = np.flatnonzero(token)
+    tokens = a[pos].tobytes().translate(_FIRST_DIGIT)
+    k = tokens.find(b"]") // 2
+    row = b"[" + b"0," * (k - 1) + b"0]"
+    rows = (len(tokens) + 1) // (len(row) + 1)
+    if k < 1 or tokens != b",".join([row] * rows):
+        return None
+    blank = a.copy()
+    blank[pos[np.frombuffer(tokens, dtype=np.uint8) > 48]] = 32   # the brackets
+    try:
+        values = np.fromstring(blank.tobytes(), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    return values.reshape(rows, k) if _plain(values, np.count_nonzero(digit), rows * k) else None
+
+
+def _plain(values, digits, count) -> bool:
+    """`count` values under 10^18, written with `digits` digits in all: no
+    value has a leading zero, and none was cut short."""
+    top = values.max() if len(values) == count else 10**18
+    if top >= 10**18:
+        return False
+    total, power = count, 10
+    while power <= top:
+        total += int(np.count_nonzero(values >= power))
+        power *= 10
+    return total == digits
+
+
+def _int_matrix(text, start):
+    """(square int64 matrix, end) for the rows array at text[start], read in
+    row chunks of about _CHUNK bytes into one preallocated array; else None."""
+    quote = text.find('"', start)
+    end = text.rfind("]", start, len(text) if quote < 0 else quote)   # the rows hold no '"'
+    pos, out, filled = _SKIP(text, start + 1).end(), None, 0
+    while pos < end:
+        stop = text.find("]", pos + _CHUNK, end)
+        stop = (text.rfind("]", pos, end) if stop < 0 else stop) + 1
+        rows = _int_rows(text, pos, stop)
+        if rows is None:
+            return None
+        if out is None:
+            if 2 * rows.shape[1] ** 2 > end - start:
+                return None   # too little text for k rows of k numbers
+            out = np.empty((rows.shape[1],) * 2, dtype=np.int64)
+        if rows.shape[1] != len(out) or filled + len(rows) > len(out):
+            return None
+        out[filled:filled + len(rows)] = rows
+        filled += len(rows)
+        pos = _SKIP(text, stop).end()
+        if pos == end:
+            return (out, end + 1) if filled == len(out) else None
+        if not text.startswith(",", pos):
+            return None
+        pos = _SKIP(text, pos + 1).end()
+    return None
+
+
+def _read_arrays(text):
+    """json.loads(text) for a JSON object document whose top-level "oplus"
+    value is plain rows, with that as an int64 array; else None (json.loads
+    then reads the text, as it does a key spelled with escapes)."""
+    opened = _OPEN(text)
+    if opened is None:
+        return None
+    doc, pos = {}, opened.end()
+    while key := _KEY(text, pos):
+        pos = key.end()
+        if key[1] == "oplus":
+            got = _int_matrix(text, pos) if text.startswith("[", pos) else None
+            if got is None:
+                return None   # not plain rows: json.loads reads the document
+        else:
+            try:
+                got = _SCAN(text, pos)
+            except (StopIteration, json.JSONDecodeError, RecursionError):
+                return None
+            if text.count("[", pos, got[1]) + text.count("{", pos, got[1]) > _NESTING:
+                return None
+        doc[key[1]], pos = got   # a repeated key keeps its last value, as in json.loads
+        after = _NEXT(text, pos)
+        if after is None:
+            return None
+        if after[1] == "}":
+            return doc if _SKIP(text, after.end()).end() == len(text) else None
+        pos = after.end()
+    return None
+
+
 def _read_document(path):
     try:
         text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read document: {exc}") from exc
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
-        raise SchemaError(f"document is not valid JSON: {exc}") from exc
+    doc = _read_arrays(text)
+    return _json(text, "document is not valid JSON") if doc is None else doc
 
 
 def _emit(report, out_path):

@@ -215,7 +215,10 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     is well defined and injective by construction.  The one check, O(n) a
     node, is that it hits exactly the central classes ([x] is central iff
     x ^ neg x is in I_i), so it is an isomorphism; the squares commute, both
-    ways round sending [c] to [emb c], since proj_j = t_ij o proj_i.
+    ways round sending [c] to [emb c], since proj_j = t_ij o proj_i.  The
+    per-atom check does not imply it: digits relabeled inside one chain, 0
+    kept fixed, pass that check but name the wrong center, and only this
+    check sees it.
     """
     system = build_inverse_system(algebra, max_size)   # checks the certificate boolean_center reads
     emb = np.asarray(boolean_center(algebra)[0])

@@ -476,7 +476,8 @@ def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
     if spec.limit is not None and count > spec.limit:
         raise IndexRangeError(f"truncation length {count} exceeds the index set")
     if max_indices is not None and count > max_indices:
-        raise ResourceCapError(count, max_indices)
+        raise ResourceCapError(count, max_indices,
+                               f"truncation length {count} exceeds the index cap of {max_indices}")
     orders = [spec.order_at(x) for x in range(count)]
     capped_size(orders, max_size)   # before any chain is built
     return product([chain_algebra(n) for n in orders], max_size=max_size)

@@ -447,3 +447,14 @@ def test_help_still_exits_0(capsys):
         run(["verify", "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: mvkit verify")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("quotient", ["--ideal"], "--ideal must be a JSON list of element indices: "),
+    ("limit", ["--ultrafilter", "principal:0", "--element"], "--element must be JSON: "),
+])
+def test_deeply_nested_json_flag_exits_3(capsys, command, flags, message):
+    doc = PRODUCT_23 if command == "quotient" else data.load("example_4_6")
+    code, report = invoke(capsys, command, doc, *flags, "[" * 100_000)
+    assert code == 3 and report["error"]["kind"] == "schema"
+    assert report["error"]["message"].startswith(message)

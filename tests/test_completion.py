@@ -340,3 +340,25 @@ def test_inverse_system_rejects_a_corrupted_certificate():
                     build(A)
     finally:
         A._cache.update(decomposition=cert, ideal_lattice=core)
+
+
+def test_center_check_catches_digits_relabeled_inside_a_chain():
+    """Relabeling one chain's digits, 0 kept fixed, commutes with zeroing a
+    coordinate, so the per-atom check of `build_inverse_system` passes; but
+    the certificate then names a wrong center, and theta's check reports it."""
+    A = mv.product([L(3), L(2)])
+    cert = A._cache["decomposition"]
+    assert mv.verify_center_correspondence(A).ok
+    digits = np.array(cert.digits)
+    col = cert.chain_orders.index(3)
+    digits[:, col] = np.array([0, 2, 1])[digits[:, col]]   # 1/2 and 1 swapped
+    try:
+        A._cache.clear()
+        A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+        mv.build_inverse_system(A)
+        report = mv.verify_center_correspondence(A)
+        assert not report.quotient_isos_ok and not report.squares_ok
+        assert report.psi_well_defined and report.ideal_count == 4
+    finally:
+        A._cache.clear()
+        A._cache["decomposition"] = cert

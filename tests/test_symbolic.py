@@ -355,7 +355,7 @@ def test_truncate_caps(monkeypatch):
     monkeypatch.setattr(mv.symbolic, "chain_algebra", no_chain)
     with pytest.raises(ResourceCapError):
         mv.truncate(spec_4_5(), 8, max_size=4096)
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match="truncation length 20 exceeds the index cap of 16"):
         mv.truncate(spec_const(2), 20)                    # over the index window cap
     with pytest.raises(IndexRangeError):
         mv.truncate(mv.IndexSpec(1, [mv.ConstClass(2)], limit=3), 4)
