@@ -145,6 +145,7 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
                     "field 'oplus' must be a list of rows")
             _expect(_all_ints(itertools.chain.from_iterable(oplus)), "field 'oplus' must contain integers")
         _expect(isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
+        _expect(size >= 1, f"carrier size must be >= 1, got {size}")
         _expect(len(oplus) == size and (oplus.shape[1] == size if isinstance(oplus, np.ndarray)
                                         else all(len(r) == size for r in oplus)),
                 f"field 'oplus' must be a {size}x{size} matrix")
@@ -475,21 +476,12 @@ def _json(text, what):
 # -- reading documents --------------------------------------------------------
 #
 # A `tables` document is mostly its oplus matrix: json.loads makes n^2 Python
-# ints of it.  `_read_arrays` reads the top-level "oplus" value straight into
-# an int64 array when it is plainly rows of non-negative integers, and every
-# other value with json's own scanner (`neg`'s n numbers cost less as a list
-# than one more array read).  A document with anything in doubt, or that it
-# cannot read whole, goes to json.loads, so results and messages are
-# json.loads's.
+# ints of it, `_read_arrays` one int64 array.  A document with anything in
+# doubt goes whole to json.loads, so results and messages are json.loads's.
 
-_SCAN = json.JSONDecoder().scan_once     # one JSON value at an index, as json.loads reads it
-_SKIP = json.decoder.WHITESPACE.match
-_OPEN = re.compile(r"[ \t\n\r]*\{").match
-_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match   # a key with no escapes
-_NEXT = re.compile(r"[ \t\n\r]*([,}])").match
+_SKIP = re.compile(r"[ \t\n\r]*").match
+_OPLUS = re.compile(r'"oplus"[ \t\n\r]*:[ \t\n\r]*\[').search
 _CHUNK = 1 << 16    # bytes of matrix rows checked and parsed at once
-_NESTING = 64       # brackets a value may hold and still be read here; deeper
-                    # values go to json.loads, whose recursion limit they meet
 _FIRST_DIGIT = bytes.maketrans(b"123456789", b"000000000")
 
 
@@ -570,34 +562,34 @@ def _int_matrix(text, start):
 
 
 def _read_arrays(text):
-    """json.loads(text) for a JSON object document whose top-level "oplus"
-    value is plain rows, with that as an int64 array; else None (json.loads
-    then reads the text, as it does a key spelled with escapes)."""
-    opened = _OPEN(text)
-    if opened is None:
+    """json.loads(text), the top-level "oplus" as an int64 array, when that
+    is plain rows; else None, and json.loads reads the text.
+
+    `_int_matrix` reads the rows after '"oplus" :', json.loads the rest of
+    the text with "[]" in their place.  That is json.loads(text), rows aside,
+    when the rest holds no backslash and one '"oplus"', and its object holds
+    "oplus": with no escape every '"' of valid JSON delimits a string, so
+    '"oplus"' before ':' is a key, the only "oplus" key, and it is top-level
+    exactly when the object holds it; the rows are one complete array with
+    no quote, as "[]" is ("0" could run on into a following ".5"), so the
+    text is valid exactly when the rest is, and holds the rows where the
+    rest holds "[]", two levels deep.
+    """
+    key = _OPLUS(text)
+    got = _int_matrix(text, key.end() - 1) if key else None
+    if got is None:
         return None
-    doc, pos = {}, opened.end()
-    while key := _KEY(text, pos):
-        pos = key.end()
-        if key[1] == "oplus":
-            got = _int_matrix(text, pos) if text.startswith("[", pos) else None
-            if got is None:
-                return None   # not plain rows: json.loads reads the document
-        else:
-            try:
-                got = _SCAN(text, pos)
-            except (StopIteration, json.JSONDecodeError, RecursionError):
-                return None
-            if text.count("[", pos, got[1]) + text.count("{", pos, got[1]) > _NESTING:
-                return None
-        doc[key[1]], pos = got   # a repeated key keeps its last value, as in json.loads
-        after = _NEXT(text, pos)
-        if after is None:
-            return None
-        if after[1] == "}":
-            return doc if _SKIP(text, after.end()).end() == len(text) else None
-        pos = after.end()
-    return None
+    rest = text[:key.end() - 1] + "[]" + text[got[1]:]
+    if "\\" in rest or rest.count('"oplus"') != 1:
+        return None
+    try:
+        doc = json.loads(rest)
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    if not (isinstance(doc, dict) and "oplus" in doc):
+        return None
+    doc["oplus"] = got[0]
+    return doc
 
 
 def _read_document(path):

@@ -26,6 +26,7 @@ from .finite import (
     DEFAULT_MAX_SIZE,
     FiniteMVAlgebra,
     _certificate,
+    _self_meet,
     boolean_center,
     index_dtype,
 )
@@ -222,8 +223,7 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     """
     system = build_inverse_system(algebra, max_size)   # checks the certificate boolean_center reads
     emb = np.asarray(boolean_center(algebra)[0])
-    O, N = algebra.oplus_table, algebra.neg_table
-    self_meet = N[O[N[O[N[N], N[N]]], N[N]]]  # x ^ neg x, as in decompose
+    self_meet = _self_meet(algebra)
 
     def theta_is_iso(proj, reps):
         hit = np.zeros(len(reps), dtype=bool)

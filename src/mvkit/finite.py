@@ -424,6 +424,14 @@ class Decomposition:
         return tuple(sorted(self.chain_orders))
 
 
+def _self_meet(algebra: FiniteMVAlgebra) -> np.ndarray:
+    """x ^ neg x for every x: neg(u v w), u = neg x, w = neg neg x = neg u,
+    u v w = neg(neg u (+) w) (+) w.  The center is where it is zero."""
+    O, N = algebra.oplus_table, algebra.neg_table
+    w = N[N]
+    return N[O[N[O[w, w]], w]]
+
+
 def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     """Split a nontrivial finite MV-algebra into its chain factors.
 
@@ -454,9 +462,7 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     O, N = algebra.oplus_table, algebra.neg_table
     n = algebra.size
-    # a ^ neg a = neg(u v w), u = neg a, w = neg neg a, u v w = neg(neg u (+) w) (+) w
-    u, w = N, N[N]
-    mask = N[O[N[O[N[u], w]], w]] == algebra.zero
+    mask = _self_meet(algebra) == algebra.zero
     center = np.flatnonzero(mask)
 
     def refuse(why):

@@ -396,6 +396,7 @@ def test_table_entries_must_be_integers(capsys, bad):
     ({"oplus": [[0, 1], [1, True, 1]]}, "field 'oplus' must contain integers"),
     ({"neg": [1]}, "field 'neg' must have 2 entries"),
     ({"oplus": [], "neg": []}, "field 'oplus' must be a 2x2 matrix"),
+    ({"size": -1, "oplus": [], "neg": []}, "carrier size must be >= 1, got -1"),
 ])
 def test_malformed_tables_messages(capsys, change, message):
     code, report = invoke(capsys, "verify", dict(TABLES_23, **change))

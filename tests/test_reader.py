@@ -53,7 +53,8 @@ NUMBER_MUTATIONS = ["leading zero", "minus zero", "float", "true", "past int64",
 ROW_MUTATIONS = ["ragged", "extra entry", "doubled comma", "missing comma", "deeper row",
                  "stray scalar", "missing row comma", "empty row"]
 DOC_MUTATIONS = ["duplicate key", "escaped key", "oplus in label", "bom", "trailing data",
-                 "truncate", "nested 70", "nested 100000", "deeper matrix", "negative"]
+                 "truncate", "nested 70", "nested 100000", "deeper matrix", "negative",
+                 "oplus nested", "oplus nested, escaped at top", "number after rows"]
 MUTATIONS = NUMBER_MUTATIONS + ROW_MUTATIONS + DOC_MUTATIONS
 
 
@@ -125,9 +126,16 @@ def documents(draw, mutations=None):
 
     oplus = A.oplus_table.tolist()
     neg = A.neg_table.tolist()
+    oplus_text = matrix(oplus, draw(st.booleans()))
+    if "number after rows" in mutations:
+        oplus_text += draw(st.sampled_from([".5", "e5", "0", " 1"]))
     fields = [("type", json.dumps("tables")), ("size", str(n)), ("zero", str(A.zero)),
-              ("oplus", matrix(oplus, draw(st.booleans()))),
-              ("neg", row(neg, at_row, draw(st.booleans())))]
+              ("oplus", oplus_text), ("neg", row(neg, at_row, draw(st.booleans())))]
+    escaped = "escaped key" in mutations or "oplus nested, escaped at top" in mutations
+    if "oplus nested" in mutations or "oplus nested, escaped at top" in mutations:
+        fields = [f for f in fields if f[0] != "oplus"] + [("meta", '{"oplus": ' + oplus_text + "}")]
+        if escaped:
+            fields.append(("oplus", draw(st.sampled_from(["0", "[[0]]", matrix(oplus, False)]))))
     if draw(st.booleans()):
         label = "x" if "oplus in label" not in mutations else '"oplus": [[0]], "neg": [0]'
         fields.append(("labels", json.dumps([label + str(i) for i in range(n)])))
@@ -138,7 +146,7 @@ def documents(draw, mutations=None):
     if "nested 100000" in mutations:
         fields.append(("deep", "[" * 100_000 + "]" * 100_000))
     fields = draw(st.permutations(fields))
-    keys = ['"\\u006fplus"' if k == "oplus" and "escaped key" in mutations else json.dumps(k)
+    keys = ['"\\u006fplus"' if k == "oplus" and escaped else json.dumps(k)
             for k, _ in fields]
     text = ws() + "{" + ws() + ("," + ws()).join(
         key + ws() + ":" + ws() + value + ws() for key, (_, value) in zip(keys, fields)) + "}" + ws()
@@ -189,6 +197,37 @@ def test_plain_tables_take_the_array_path(dump):
     assert isinstance(read["oplus"], np.ndarray) and read["oplus"].dtype == np.int64
     assert read["oplus"].tolist() == doc["oplus"]
     assert {k: v for k, v in read.items() if k != "oplus"} == {k: v for k, v in doc.items() if k != "oplus"}
+
+
+def test_escaped_top_level_oplus_beside_a_nested_one():
+    """The only plain '"oplus"' is a nested key, and the top-level one is
+    spelled with an escape: the document goes whole to json.loads, which
+    finds no list of rows at the top level."""
+    text = ('{"type":"tables","size":2,"zero":0,"\\u006fplus":0,'
+            '"meta":{"oplus":[[0,1],[1,1]]},"neg":[1,0]}')
+    assert cli._read_arrays(text) is None
+    code, out = report(["verify"], text)
+    assert (code, out) == report(["verify"], text, reader=False)
+    assert code == 3 and json.loads(out)["error"]["message"] == "field 'oplus' must be a list of rows"
+
+
+def test_long_first_row_allocates_no_square_matrix():
+    """One row of 10 000 zeros is too little text for 10 000 such rows, so
+    the reader refuses it before asking for a 10 000 x 10 000 matrix; the
+    spy fails the run on any request larger than the document."""
+    text = '{"type": "tables", "size": 1, "zero": 0, "oplus": [[' + ",".join(["0"] * 10_000) + ']], "neg": [0]}'
+    shapes, empty = [], np.empty
+
+    def spy(shape, *args, **kwargs):
+        shapes.append(shape)
+        if np.prod(shape) > len(text):
+            raise MemoryError(f"np.empty{shape}")
+        return empty(shape, *args, **kwargs)
+
+    with mock.patch.object(np, "empty", spy):
+        got = report(["verify"], text)
+    assert all(np.prod(shape) <= len(text) for shape in shapes), shapes
+    assert got == report(["verify"], text, reader=False)
 
 
 def test_large_tables_read_in_chunks():
