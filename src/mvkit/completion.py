@@ -161,11 +161,11 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     homomorphisms (proj_j = t_0j o proj_0), so the operations on threads are
     A's own: the completion is built on A's read-only tables, with A's
     certificate when A has one, and the canonical map is the identity,
-    tuple(range(n)).  Cost: build_inverse_system's, plus the O(n^2) range
-    scan of the shared tables.
+    tuple(range(n)).  Cost: build_inverse_system's; the shared tables are
+    not scanned again.
     """
     system = build_inverse_system(algebra, max_size)
-    completion = FiniteMVAlgebra(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
+    completion = FiniteMVAlgebra._built(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
     if "decomposition" in algebra._cache:
         completion._cache["decomposition"] = algebra._cache["decomposition"]
     return CompletionResult(system, completion, tuple(range(algebra.size)), True)

@@ -14,10 +14,10 @@ chain decomposition as a certificate (a finite MV-algebra is a product of
 Lukasiewicz chains, and a bijective homomorphism onto such a product proves
 every axiom), in O(n^2) whatever the number of atoms.  Only tables it
 refuses meet the axiom checks and the O(n^3) associativity sweep, which
-report the first failing axiom together with a witness.  Algebras produced
-internally (products, quotients, intervals) are valid by construction and
-are built without re-validation; the test suite re-validates
-representatives of every such construction.
+report the first failing axiom together with a witness.  `FiniteMVAlgebra`
+range-checks its tables; algebras the library builds are valid by
+construction and skip that through `FiniteMVAlgebra._built`.  The test
+suite re-validates representatives of every such construction.
 
 The certificate (`Decomposition`: the center atoms, their chain orders and
 the n x k digit array) is cached on the algebra under "decomposition".
@@ -29,7 +29,6 @@ ideals are read off the digits without recomputing it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,12 +93,16 @@ class FiniteMVAlgebra:
             labels = tuple(str(s) for s in labels)
             if len(labels) != size:
                 raise SchemaError(f"{len(labels)} labels for {size} elements")
-        self.size = int(size)
-        self.zero = int(zero)
-        self.oplus_table = _frozen(np.ascontiguousarray(oplus, dtype=index_dtype(size)))
-        self.neg_table = _frozen(np.ascontiguousarray(neg, dtype=index_dtype(size)))
-        self.labels = labels
-        self._cache = {}
+        vars(self).update(vars(self._built(size, zero, oplus, neg, labels)))
+
+    @classmethod
+    def _built(cls, size, zero, oplus, neg, labels=None) -> FiniteMVAlgebra:
+        """The algebra on tables the library made, narrowed and frozen, unchecked."""
+        algebra, dtype = cls.__new__(cls), index_dtype(size)
+        algebra.size, algebra.zero, algebra.labels, algebra._cache = int(size), int(zero), labels, {}
+        algebra.oplus_table = _frozen(np.ascontiguousarray(oplus, dtype=dtype))
+        algebra.neg_table = _frozen(np.ascontiguousarray(neg, dtype=dtype))
+        return algebra
 
     # -- element-level operations ------------------------------------
 
@@ -211,7 +214,7 @@ def _refuse(axiom, failed, *tail):
 
 def trivial_algebra() -> FiniteMVAlgebra:
     """The one-element algebra (the empty product of chains)."""
-    return FiniteMVAlgebra(1, 0, [[0]], [0], labels=("0",))
+    return FiniteMVAlgebra._built(1, 0, [[0]], [0], labels=("0",))
 
 
 def chain_algebra(order: int) -> FiniteMVAlgebra:
@@ -224,7 +227,7 @@ def chain_algebra(order: int) -> FiniteMVAlgebra:
         raise ValueError(f"chain order must be >= 2, got {order}")
     labels = tuple(str(Fraction(k, order - 1)) for k in range(order))
     neg = (order - 1) - np.arange(order, dtype=index_dtype(order))
-    chain = FiniteMVAlgebra(order, 0, _chain_sum(order), neg, labels)
+    chain = FiniteMVAlgebra._built(order, 0, _chain_sum(order), neg, labels)
     digits = np.arange(order, dtype=np.int32)[:, None]
     chain._cache["decomposition"] = Decomposition((order - 1,), (order,), _frozen(digits))
     return chain
@@ -237,17 +240,24 @@ def _chain_sum(order: int) -> np.ndarray:
 
 
 def _fold(tables, dtype) -> np.ndarray:
-    """The product's sum (2-D) or negation (1-D) table, last factor fastest,
-    folded in from the last: t[:, None, :, None] * m + acc[None, :, None, :],
-    O(n^2) in all.  Each partial sum is a product index, so `dtype` holds it;
-    one-element factors are the identity and skipped, so m does too."""
+    """The product's sum (2-D) or negation (1-D) table, last factor fastest:
+    R, the shortest suffix of size b >= sqrt(n) short of all, and L, the rest,
+    folded alike, are combined once, P[(i, j), (k, l)] = L[i, k] * b + R[j, l],
+    from L * b repeated and R tiled to n columns, so the n x n write runs along
+    whole rows: O(n^2), each entry written once.  Each entry is a product
+    index, so `dtype` holds it; one-element factors are the identity, skipped."""
     ndim = tables[0].ndim
-    outer, inner = (slice(None), None) * ndim, (None, slice(None)) * ndim
-    acc = np.zeros((1,) * ndim, dtype=dtype)
-    for t in reversed([t for t in tables if len(t) > 1]):
-        s, m = len(t), len(acc)
-        acc = (t.astype(dtype, copy=False)[outer] * dtype(m) + acc[inner]).reshape((s * m,) * ndim)
-    return acc
+    tables = [t for t in tables if len(t) > 1]
+    if len(tables) <= 1:
+        return (tables[0] if tables else np.zeros((1,) * ndim)).astype(dtype, copy=False)
+    n, split, b = math.prod(map(len, tables)), len(tables), 1
+    while split > 1 and b * b < n:
+        split -= 1
+        b *= len(tables[split])
+    left, right = _fold(tables[:split], dtype) * dtype(b), _fold(tables[split:], dtype)
+    if ndim == 2:
+        left, right = left.repeat(b, axis=1), right[:, None].repeat(n // b, axis=1).reshape(b, n)
+    return (left[:, None] + right[None]).reshape((n,) * ndim)
 
 
 def capped_size(sizes, max_size=DEFAULT_MAX_SIZE) -> int:
@@ -265,8 +275,8 @@ def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Direct product with componentwise operations, last factor fastest; []
     gives the trivial algebra.
 
-    The factors are folded in directly in the result's `index_dtype`, one
-    broadcast pass per factor, O(n^2) in all (2^12 takes about 20 ms).  When
+    Tables are folded in the result's `index_dtype`, each entry written once
+    (`_fold`): 2^12 takes 12-15 ms, np.ones of its 32 MiB table 7-9 ms.  When
     every nontrivial factor carries a certificate, so does the product, in
     O(n*k): an element's digits are its factors' digits, and each factor's
     atoms sit with the other coordinates at their zero, sorted ascending
@@ -283,8 +293,13 @@ def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
 
     labels = None
     if all(f.labels is not None for f in factors):
-        labels = tuple("(" + ",".join(t) + ")" for t in itertools.product(*(f.labels for f in factors)))
-    result = FiniteMVAlgebra(total, zero, oplus, neg, labels)
+        heads, tails = ["("], [s + ")" for s in factors[-1].labels]   # n joins of head and tail
+        for f in factors[:len(factors) // 2]:
+            heads = [h + s + "," for h in heads for s in f.labels]
+        for f in reversed(factors[len(factors) // 2:-1]):
+            tails = [s + "," + t for s in f.labels for t in tails]
+        labels = tuple([h + t for h in heads for t in tails])
+    result = FiniteMVAlgebra._built(total, zero, oplus, neg, labels)
     certs = [f._cache.get("decomposition") for f in factors if f.size > 1]
     if certs and None not in certs:
         result._cache["decomposition"] = _product_certificate(factors, total, zero)
@@ -295,17 +310,18 @@ def _product_certificate(factors, total, zero):
     """The composed certificate of `product(factors)`, of size `total` with
     zero index `zero`."""
     atoms, orders, columns = [], [], []
-    elements = np.arange(total)
     stride = 1
     for f in reversed(factors):
         if f.size > 1:
             cert = f._cache["decomposition"]
             atoms += [zero + (a - f.zero) * stride for a in cert.atoms]
             orders += cert.chain_orders
-            columns.append(cert.digits[elements // stride % f.size])
+            columns += [(stride, f.size, column) for column in cert.digits.T]
         stride *= f.size
     order = np.argsort(atoms)
-    digits = np.ascontiguousarray(np.concatenate(columns, axis=1)[:, order])
+    digits = np.empty((total, len(atoms)), dtype=np.int32)
+    for i, (stride, size, column) in enumerate(columns[j] for j in order):   # at x // stride % size
+        digits.reshape(-1, size, stride, len(atoms))[..., i] = column[:, None]
     return Decomposition(tuple(atoms[i] for i in order), tuple(orders[i] for i in order),
                          _frozen(digits))
 
@@ -316,13 +332,10 @@ def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
     if sorted(np.asarray(permutation).tolist()) != list(range(n)):
         raise ValueError("relabeling must be a permutation of the carrier")
     perm = np.asarray(permutation, dtype=index_dtype(n))
-    oplus = np.empty((n, n), dtype=perm.dtype)
-    neg = np.empty(n, dtype=perm.dtype)
-    oplus[np.ix_(perm, perm)] = perm[algebra.oplus_table]
-    neg[perm] = perm[algebra.neg_table]
-    # the new element y is the old perm^-1(y)
-    labels = None if algebra.labels is None else tuple(algebra.labels[x] for x in np.argsort(perm))
-    return FiniteMVAlgebra(n, int(perm[algebra.zero]), oplus, neg, labels)
+    old = np.argsort(perm)   # the new element y is the old old[y]
+    labels = None if algebra.labels is None else tuple(algebra.labels[x] for x in old)
+    return FiniteMVAlgebra._built(n, int(perm[algebra.zero]), perm[algebra.oplus_table[np.ix_(old, old)]],
+                                  perm[algebra.neg_table[old]], labels)
 
 
 # -- Boolean center and intervals ------------------------------------------
@@ -381,13 +394,13 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
 
 
 def _subalgebra(algebra, emb, oplus, neg):
-    """The algebra on the elements `emb`, its sum and negation given in the
-    ambient indices, and pos with pos[emb[i]] = i (the rest out of range, so
-    reading one is refused)."""
+    """The algebra on the elements `emb`, a subalgebra, its sum and negation
+    given in the ambient indices, and pos with pos[emb[i]] = i (the rest out
+    of range).  `pos` is int32 when len(emb) is 65536; `_built` narrows it."""
     pos = np.full(algebra.size, len(emb), dtype=index_dtype(len(emb) + 1))
     pos[emb] = np.arange(len(emb))
     labels = tuple(algebra.label(int(m)) for m in emb) if algebra.labels else None
-    return FiniteMVAlgebra(len(emb), int(pos[algebra.zero]), pos[oplus], pos[neg], labels), pos
+    return FiniteMVAlgebra._built(len(emb), int(pos[algebra.zero]), pos[oplus], pos[neg], labels), pos
 
 
 # -- decomposition into chains ---------------------------------------------

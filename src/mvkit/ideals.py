@@ -293,7 +293,7 @@ def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgeb
     O, N = algebra.oplus_table, algebra.neg_table
     labels = None if algebra.labels is None else tuple(f"[{algebra.labels[r]}]" for r in reps)
     zero = int(class_of[algebra.zero])
-    result = FiniteMVAlgebra(len(reps), zero, class_of[O[reps[:, None], reps]], class_of[N[reps]], labels)
+    result = FiniteMVAlgebra._built(len(reps), zero, class_of[O[reps[:, None], reps]], class_of[N[reps]], labels)
     if len(reps) > 1:
         cert = _certificate(algebra)
         atom_class = class_of[list(cert.atoms)]

@@ -1,6 +1,7 @@
 """Table-level algebras: validation, products, center, intervals, decomposition."""
 
 import gc
+import math
 import random
 import weakref
 
@@ -147,11 +148,27 @@ def test_every_construction_builds_uint16_tables():
         "center_algebra": mv.center_algebra(A)[0],
         "interval_algebra": mv.interval_algebra(A, half)[0],
         "truncate": mv.truncate(spec, 3),
+        "profinite_completion": mv.profinite_completion(A).completion,
     }
     for name, algebra in built.items():
-        assert algebra.oplus_table.dtype == np.uint16, name
-        assert algebra.neg_table.dtype == np.uint16, name
-        assert not algebra.oplus_table.flags.writeable, name
+        for table in (algebra.oplus_table, algebra.neg_table):
+            assert table.dtype == np.uint16, name
+            assert table.flags.c_contiguous and not table.flags.writeable, name
+            assert table.max() < algebra.size, name
+
+
+def test_public_constructor_range_checks_uint16_and_list_entries():
+    """FiniteMVAlgebra(...) stays the checking entry point after library
+    constructions stopped re-checking: a 7 in a size-4 table is refused
+    given as a uint16 array, where no sign check applies, and as lists."""
+    L4 = mv.chain_algebra(4)
+    for what in ("oplus", "neg"):
+        oplus, neg = np.array(L4.oplus_table), np.array(L4.neg_table)
+        (oplus if what == "oplus" else neg)[-1] = 7
+        assert oplus.dtype == neg.dtype == np.uint16
+        for tables in ((oplus, neg), (oplus.tolist(), neg.tolist())):
+            with pytest.raises(SchemaError, match=f"{what} table contains out-of-range indices"):
+                mv.FiniteMVAlgebra(4, 0, *tables)
 
 
 def test_decompose_matches_per_atom_oracle(family):
@@ -435,6 +452,44 @@ def test_product_matches_gather_oracle():
         assert got.oplus_table.dtype == want.oplus_table.dtype
         assert (got.oplus_table == want.oplus_table).all()
         assert (got.neg_table == want.neg_table).all()
+
+
+# `_fold` splits the nontrivial factors once, the right part the shortest
+# suffix with at least half of n's digits.  These put that split after every
+# factor for 5 and 6 factors, and wherever n <= 2048 leaves room for 7 to 11
+# (after the 6th of 7 needs n = 4096); [2] * 12 splits after the 6th.
+SPLIT_SIZES = [
+    (3, 3, 2, 2, 2), (2,) * 5, (2, 2, 2, 2, 4), (2, 2, 2, 2, 16),
+    (8, 3, 2, 2, 2, 2), (2, 3, 2, 2, 2, 2), (2,) * 6, (2, 2, 2, 2, 2, 8), (2, 2, 2, 2, 2, 32),
+    (3, 16, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2, 2, 2), (2,) * 7, (2,) * 6 + (4,), (2,) * 6 + (16,),
+    (8, 2, 3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 2, 2, 2, 2), (2,) * 8, (2,) * 7 + (8,),
+    (2, 2, 3, 3, 2, 2, 2, 2, 2), (2,) * 9, (2, 2, 2, 2, 2, 4, 2, 2, 2),
+    (3,) + (2,) * 9, (2,) * 10, (2,) * 11, (2,) * 12,
+    (2, 3, 4, 5, 6), (2, 2, 2, 4, 2, 6, 2),   # the truncations example_4_5@5, example_4_6@7
+]
+
+
+def test_product_matches_gather_oracle_at_every_split():
+    """Labels and tables, on chains, with 4-element factors the shuffled
+    L2 x L2; up to n = 512 also the certificate, and again with one-element
+    factors at both ends and in the middle."""
+    rng = random.Random(18)
+    square = revalidate(shuffled(mv.product([mv.chain_algebra(2)] * 2), rng))
+    one = mv.trivial_algebra()
+    for sizes in SPLIT_SIZES:
+        factors = [square if s == 4 else mv.chain_algebra(s) for s in sizes]
+        variants = [factors]
+        if math.prod(sizes) <= 512:
+            middle = len(factors) // 2
+            variants.append([one] + factors[:middle] + [one] + factors[middle:] + [one])
+        for factors in variants:
+            got, want = mv.product(factors), product_by_gather(factors)
+            assert (got.size, got.zero, got.labels) == (want.size, want.zero, want.labels), sizes
+            assert (got.oplus_table == want.oplus_table).all(), sizes
+            assert (got.neg_table == want.neg_table).all(), sizes
+            if got.size <= 512:
+                dec = got._cache["decomposition"]
+                assert (dec.atoms, dec.chain_orders, dec.iso) == certificate_by_revalidation(got), sizes
 
 
 def test_composed_certificates_match_revalidation(family):
