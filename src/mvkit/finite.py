@@ -183,7 +183,7 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     try:
         decompose(alg)
         return alg
-    except (DecompositionError, InternalConsistencyError):
+    except DecompositionError:
         alg._cache.clear()
 
     O, N = alg.oplus_table, alg.neg_table
@@ -269,6 +269,14 @@ def capped_size(sizes, max_size=DEFAULT_MAX_SIZE) -> int:
         if max_size is not None and total > max_size:
             raise ResourceCapError(total, max_size)
     return total
+
+
+def chain_product(orders, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
+    """The product of the chains of `orders`, refused by the cap before any
+    chain is built, each distinct order's chain built once."""
+    capped_size(orders, max_size)
+    chains = {order: chain_algebra(order) for order in set(orders)}
+    return product([chains[order] for order in orders], max_size=max_size)
 
 
 def product(factors, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
@@ -462,11 +470,11 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
     through neg x, so neg is a bijection, each coordinate following one of x,
     and reflexive orders on the intervals make that x's own, reversed.
     Success proves every axiom; the result is cached and returned later.
-    Nor is the center checked closed under the operations before that:
-    success makes the tables an MV-algebra, whose center is a subalgebra, so
-    tables with an unclosed center fail one of the checks above.  Only then
-    is closure checked, O(|B|^2), to raise InternalConsistencyError for an
-    unclosed center and DecompositionError otherwise.
+    Nor is the center checked closed under the operations: success makes
+    the tables an MV-algebra, whose center is a subalgebra, so tables with
+    an unclosed center fail one of the checks above.  Every refusal raises
+    DecompositionError (`_certificate` makes it InternalConsistencyError
+    where a certificate is owed).
     """
     cert = algebra._cache.get("decomposition")
     if cert is not None:
@@ -475,12 +483,9 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         raise DecompositionError("the trivial algebra has no chain decomposition")
     O, N = algebra.oplus_table, algebra.neg_table
     n = algebra.size
-    mask = _self_meet(algebra) == algebra.zero
-    center = np.flatnonzero(mask)
+    center = np.flatnonzero(_self_meet(algebra) == algebra.zero)
 
     def refuse(why):
-        if not (mask[O[np.ix_(center, center)]].all() and mask[N[center]].all()):
-            raise InternalConsistencyError("Boolean center is not closed under the operations")
         raise DecompositionError(f"not a product of chains: {why}")
 
     leq = algebra.leq_matrix
@@ -508,9 +513,9 @@ def decompose(algebra: FiniteMVAlgebra) -> Decomposition:
         refuse("coordinate map is not bijective")
     code = codes.astype(index_dtype(n))
     P = _fold([_chain_sum(order) for order in orders], index_dtype(n))
-    step = max(1, (1 << 20) // n)   # rows compared at once, so the temporaries stay small
+    step = max(1, (1 << 18) // n)   # rows compared at once, so the temporaries stay in cache
     for rows in range(0, n, step):
-        if not (code[O[rows:rows + step]] == P[code[rows:rows + step, None], code]).all():
+        if not (code[O[rows:rows + step]] == P[code[rows:rows + step]][:, code]).all():
             refuse("coordinate map is not a homomorphism")
 
     digits = _frozen(np.stack(digit_rows, axis=1))

@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UltrafilterError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, capped_size, chain_algebra, product
+from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, chain_product
 
 ZERO = "zero"
 TOP = "top"
@@ -470,7 +470,8 @@ def completion_report(spec: IndexSpec) -> CompletionReport:
 
 def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
              max_indices=DEFAULT_MAX_TRUNCATION) -> FiniteMVAlgebra:
-    """The finite product of the chains at indices 0..count-1."""
+    """The finite product of the chains at indices 0..count-1, built by
+    `chain_product`: refused by the cap before any chain is built."""
     if count < 0:
         raise IndexRangeError(f"truncation length must be a natural number, got {count}")
     if spec.limit is not None and count > spec.limit:
@@ -478,9 +479,7 @@ def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
     if max_indices is not None and count > max_indices:
         raise ResourceCapError(count, max_indices,
                                f"truncation length {count} exceeds the index cap of {max_indices}")
-    orders = [spec.order_at(x) for x in range(count)]
-    capped_size(orders, max_size)   # before any chain is built
-    return product([chain_algebra(n) for n in orders], max_size=max_size)
+    return chain_product([spec.order_at(x) for x in range(count)], max_size)
 
 
 def truncate_element(f: SymbolicElement, count: int) -> int:

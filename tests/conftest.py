@@ -339,8 +339,12 @@ def decompose_by_atoms(algebra):
     """(atoms, chain orders, digits) of the chain decomposition, the atoms
     from `center_by_formula`, with the sum checked one atom at a time, digits[O] == min(digits + digits, order - 1)
     for each atom's digit row (k n x n comparisons), then bijectivity by
-    mixed-radix codes; raises DecompositionError where that check fails."""
-    _, atoms = center_by_formula(algebra)
+    mixed-radix codes; raises DecompositionError where any check fails, an
+    unclosed center included."""
+    try:
+        _, atoms = center_by_formula(algebra)
+    except mv.InternalConsistencyError as exc:
+        raise mv.DecompositionError(str(exc)) from exc
     leq = algebra.leq_matrix
     O, N = algebra.oplus_table.astype(np.int64), algebra.neg_table.astype(np.int64)
     n = algebra.size

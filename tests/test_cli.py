@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mvkit import cli, data
+from mvkit import cli, data, finite, symbolic
 from mvkit.cli import parse_algebra_document, run
 
 PRODUCT_23 = {"type": "product", "orders": [2, 3]}
@@ -110,11 +110,54 @@ def test_resource_cap_exits_4(capsys, monkeypatch):
     def no_chain(order):
         raise AssertionError(f"chain of order {order} built past the cap")
 
-    monkeypatch.setattr(cli, "chain_algebra", no_chain)
+    monkeypatch.setattr(finite, "chain_algebra", no_chain)   # the name `chain_product` reads
     for orders, size in (([2, 1000000], 2000000), ([2, 10**12], 2 * 10**12), ([70, 70], 4900)):
         code, report = invoke(capsys, "verify", {"type": "product", "orders": orders})
         assert code == 4 and report["error"]["kind"] == "resource-cap"
         assert report["error"]["message"] == f"carrier size {size} exceeds the cap of 4096"
+
+
+@pytest.mark.parametrize("orders, size", [([2] * 12, 4096), ([4, 4, 4], 64), ([2, 3], 6)])
+def test_verify_trusts_the_product_it_builds(capsys, monkeypatch, tmp_path, orders, size):
+    """A `product` document is an MV-algebra by construction, so `verify`
+    runs neither `from_tables` nor `decompose` on it, and its report is
+    unchanged, byte for byte."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(finite, name) for name in ("from_tables", "decompose")}
+    for module in (cli, finite):
+        for name, fn in originals.items():
+            monkeypatch.setattr(module, name, spy(name, fn))
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"type": "product", "orders": orders}))
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "command": "verify",\n  "result": {\n    "size": %d,\n    "valid": true\n  },\n'
+        '  "version": "1"\n}\n' % size)
+    assert calls == []
+
+
+def test_chain_product_builds_each_order_once(capsys, monkeypatch):
+    built = []
+
+    def counting(order, chain_algebra=finite.chain_algebra):
+        built.append(order)
+        return chain_algebra(order)
+
+    monkeypatch.setattr(finite, "chain_algebra", counting)
+    spec = parse_algebra_document(data.load("example_const_2"))[1]
+    assert symbolic.truncate(spec, 12).size == 4096
+    assert built == [2]
+    built.clear()
+    code, report = invoke(capsys, "verify", {"type": "product", "orders": [2, 2, 3, 3]})
+    assert code == 0 and report["result"]["size"] == 36
+    assert sorted(built) == [2, 3]
 
 
 def test_decompose_product(capsys):

@@ -619,6 +619,22 @@ def test_non_associative_tables_take_the_sweep():
         assert (info.value.axiom, info.value.witness) == want
 
 
+def test_decompose_refuses_an_unclosed_center_like_any_table():
+    """Every refusal of `decompose` is a DecompositionError, on the
+    unclosed-center witness too; the center report, which owes a
+    certificate, makes it an InternalConsistencyError."""
+    L2L3 = mv.product([mv.chain_algebra(2), mv.chain_algebra(3)])
+    oplus = np.array(L2L3.oplus_table)
+    oplus[2, 2] = 1
+    A = mv.FiniteMVAlgebra(6, L2L3.zero, oplus, L2L3.neg_table)
+    with pytest.raises(InternalConsistencyError, match="not closed"):
+        center_by_formula(A)
+    with pytest.raises(DecompositionError, match="not a product of chains"):
+        mv.decompose(A)
+    with pytest.raises(InternalConsistencyError, match="no chain-product certificate"):
+        mv.boolean_center(A)
+
+
 def test_random_tables_meet_the_certificate_then_the_sweep():
     """Every table meets `decompose` before any axiom check.  Over random
     tables with n <= 6 (raw, symmetrised, symmetrised with a forced identity

@@ -352,7 +352,7 @@ def test_truncate_caps(monkeypatch):
         raise AssertionError(f"chain of order {order} built past the cap")
 
     # every case is refused before a chain is built, an order of 10^6 too
-    monkeypatch.setattr(mv.symbolic, "chain_algebra", no_chain)
+    monkeypatch.setattr(mv.finite, "chain_algebra", no_chain)   # the name `chain_product` reads
     with pytest.raises(ResourceCapError):
         mv.truncate(spec_4_5(), 8, max_size=4096)
     with pytest.raises(ResourceCapError, match="truncation length 20 exceeds the index cap of 16"):
