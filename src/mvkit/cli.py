@@ -299,8 +299,8 @@ def cmd_center(args, doc):
 def cmd_ideals(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
     out = []
-    for ideal in all_ideals(algebra, args.max_size):
-        cls = classify(algebra, ideal, args.max_size)
+    for ideal in all_ideals(algebra):
+        cls = classify(algebra, ideal)
         out.append({
             "members": list(ideal.sorted_members),
             "proper": cls.proper,
@@ -349,7 +349,7 @@ def cmd_complete(args, doc):
             ],
             "finite_orders": list(report.finite_orders) if report.finite_orders is not None else None,
         }, 0
-    result = profinite_completion(value, args.max_size)
+    result = profinite_completion(value)
     orders = list(_certificate(result.completion).sorted_orders)
     return {
         "strongly_complete": result.is_isomorphism,

@@ -12,6 +12,10 @@ Two reports cover the Boolean center (every finite algebra is regular) and
 read A's inverse system and center members only: B(A) has A's atoms, so
 I -> I n B(A) is S -> S on coordinate sets, and B(completion of A) is B(A).
 One check per node: B(A)/(I n B(A)) -> B(A/I) hits exactly the central classes.
+
+No function here takes a size cap: the cap is checked once, where an
+algebra is admitted.  Every layer is bounded by A's n x n table: the system
+holds 2^k <= n key rows of n entries, and the completion shares A's tables.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .finite import (
-    DEFAULT_MAX_SIZE,
     FiniteMVAlgebra,
     _certificate,
     _self_meet,
@@ -96,8 +99,7 @@ class InverseSystem:
         return f"InverseSystem({len(self.ideals)} ideals over size {self.algebra.size})"
 
 
-def build_inverse_system(algebra: FiniteMVAlgebra,
-                         max_size=DEFAULT_MAX_SIZE) -> InverseSystem:
+def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
     """Every ideal's projection, in one batched pass.
 
     Node I_S keys x by x (.) neg g_S, the projection off the coordinates S
@@ -105,7 +107,8 @@ def build_inverse_system(algebra: FiniteMVAlgebra,
     rows come from the identity by doubling, row S + 2^j = row S (.) neg a_j
     (one gather a row), and are numbered in place by chunks of rows
     (`_number_classes`, O(n) a row, no sort) into the 2^k x n `projections`.
-    Cost O(2^k * n) and the 2^k x n array; no quotient table is built.
+    Cost O(2^k * n) and the 2^k x n array, within the n x n table since
+    2^k <= n; no quotient table is built.
 
     The one check, `classes`' certificate check made once per atom: x (.)
     neg a_j must have x's digits with digit j set to 0 (O(n*k) each).  Every
@@ -115,7 +118,7 @@ def build_inverse_system(algebra: FiniteMVAlgebra,
     is node i's key (.) neg g_j when ideals[i] <= ideals[j], so
     proj_j = t_ij o proj_i: t_ij is onto, t_ii = id, t_jm o t_ij = t_im.
     """
-    lattice = ideal_lattice(algebra, max_size)
+    lattice = ideal_lattice(algebra)
     O, N, n = algebra.oplus_table, algebra.neg_table, algebra.size
     cert = _certificate(algebra)
     keys = np.empty((1 << len(cert.atoms), n), dtype=index_dtype(n))
@@ -147,8 +150,7 @@ class CompletionResult:
         return self.completion.size
 
 
-def profinite_completion(algebra: FiniteMVAlgebra,
-                         max_size=DEFAULT_MAX_SIZE) -> CompletionResult:
+def profinite_completion(algebra: FiniteMVAlgebra) -> CompletionResult:
     """The compatible-thread subalgebra and the canonical map into it.
 
     The threads are certified rather than searched for, with no check: the
@@ -161,10 +163,10 @@ def profinite_completion(algebra: FiniteMVAlgebra,
     homomorphisms (proj_j = t_0j o proj_0), so the operations on threads are
     A's own: the completion is built on A's read-only tables, with A's
     certificate when A has one, and the canonical map is the identity,
-    tuple(range(n)).  Cost: build_inverse_system's; the shared tables are
-    not scanned again.
+    tuple(range(n)).  Cost: build_inverse_system's, O(2^k * n) <= O(n^2);
+    the shared tables are not scanned again or copied.
     """
-    system = build_inverse_system(algebra, max_size)
+    system = build_inverse_system(algebra)
     completion = FiniteMVAlgebra._built(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
     if "decomposition" in algebra._cache:
         completion._cache["decomposition"] = algebra._cache["decomposition"]
@@ -200,8 +202,7 @@ class CenterCorrespondenceReport:
         return all(v for name, v in vars(self).items() if not name.endswith("_count"))
 
 
-def verify_center_correspondence(algebra: FiniteMVAlgebra,
-                                 max_size=DEFAULT_MAX_SIZE) -> CenterCorrespondenceReport:
+def verify_center_correspondence(algebra: FiniteMVAlgebra) -> CenterCorrespondenceReport:
     """Check the center ideal correspondence (every finite algebra is regular).
 
     psi_i = ideals[i] n B(A) needs no check: B(A), the x whose digits are
@@ -221,7 +222,7 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra,
     kept fixed, pass that check but name the wrong center, and only this
     check sees it.
     """
-    system = build_inverse_system(algebra, max_size)   # checks the certificate boolean_center reads
+    system = build_inverse_system(algebra)   # checks the certificate boolean_center reads
     emb = np.asarray(boolean_center(algebra)[0])
     self_meet = _self_meet(algebra)
 
@@ -249,13 +250,12 @@ class CenterCompletionReport:
         return self.isomorphic
 
 
-def verify_center_completion_commute(algebra: FiniteMVAlgebra,
-                                     max_size=DEFAULT_MAX_SIZE) -> CenterCompletionReport:
+def verify_center_completion_commute(algebra: FiniteMVAlgebra) -> CenterCompletionReport:
     """Compare B(completion of A) with the completion of B(A) (every finite
     algebra is regular).  Only A is completed, with its per-atom check.  The
     completion is A on A's tables and certificate, so B(completion of A) is
     B(A); and B(A), a finite Boolean algebra with its certificate, is its
     own completion.  Both are B(A), sized off the certificate in O(n*k)."""
-    completed = profinite_completion(algebra, max_size).completion   # checks what boolean_center reads
+    completed = profinite_completion(algebra).completion   # checks what boolean_center reads
     size = len(boolean_center(completed)[0])
     return CenterCompletionReport(size, size, True)

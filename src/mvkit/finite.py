@@ -175,8 +175,7 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     Raises MVAxiomError naming the first failed axiom and a witness tuple;
     structural problems raise SchemaError, oversize carriers ResourceCapError.
     """
-    if max_size is not None and size > max_size:
-        raise ResourceCapError(size, max_size)
+    capped_size([size], max_size)
     alg = FiniteMVAlgebra(size, zero, oplus_table, neg_table, labels)
     if alg.size == 1:
         return alg
@@ -389,6 +388,8 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
     x ^ a = neg(neg x (+) neg a) for central a: one O(n) column, no meet table.
     Returns (interval, embedding) like `center_algebra`.
     """
+    if not 0 <= a < algebra.size:
+        raise NotCentralError(f"element index {a} is out of range 0..{algebra.size - 1}")
     center_members, _ = boolean_center(algebra)
     if a not in center_members:
         raise NotCentralError(

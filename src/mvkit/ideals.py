@@ -16,6 +16,10 @@ are the projection onto the other coordinates, checked against the digits in
 O(n*k); a quotient carries the projected certificate, and the maximal ideals
 are the sets where one digit is 0.  The brute-force procedures these
 replaced are oracles in the test suite.
+
+No layer here takes a size cap: the cap is checked once, where tables or
+chain orders become an algebra, and each layer is bounded by the n x n
+table it reads (`ideal_lattice` states the lattice's bounds).
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    NotAnIdealError,
-    PreconditionError,
-    ResourceCapError,
-)
+from .errors import InternalConsistencyError, NotAnIdealError, PreconditionError
 from .finite import (
-    DEFAULT_MAX_SIZE,
     Decomposition,
     FiniteMVAlgebra,
     _certificate,
@@ -163,10 +161,8 @@ class IdealLattice(_LatticeCore):
     ideals: tuple
 
 
-def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
+def _lattice_core(algebra: FiniteMVAlgebra) -> _LatticeCore:
     """The cached lattice pass; see `ideal_lattice`."""
-    if max_size is not None and algebra.size > max_size:
-        raise ResourceCapError(algebra.size, max_size)
     cached = algebra._cache.get("ideal_lattice")
     if cached is not None:
         return cached
@@ -193,7 +189,7 @@ def _lattice_core(algebra: FiniteMVAlgebra, max_size) -> _LatticeCore:
     return core
 
 
-def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealLattice:
+def ideal_lattice(algebra: FiniteMVAlgebra) -> IdealLattice:
     """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
 
     I_S is the down-set of the join of S's atoms, its generator (one table
@@ -201,35 +197,36 @@ def ideal_lattice(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> IdealL
     a bitmask test; it is maximal, equally prime, iff S misses one
     coordinate.  Its members are the x whose support s(x) lies in S, one
     bitmask test each.  Cost O(2^k * n) for the members, O(4^k) for
-    inclusion and the canonical sort; no order matrix or center.  The cache
+    inclusion and the canonical sort; no order matrix or center.  All three
+    are within the n x n table: 2^k <= n, prod (1 + n_i) <= n^1.59 members
+    and 4^k <= n^2 bits, so no cap of its own is needed.  The cache
     holds member sets only, wrapped in new `Ideal`s per call, so the algebra
     and its cache form no cycle.
     """
-    core = _lattice_core(algebra, max_size)
+    core = _lattice_core(algebra)
     ideals = tuple(_ideal(algebra, m, g) for m, g in zip(core.members, core.generators.tolist()))
     return IdealLattice(**vars(core), ideals=ideals)
 
 
-def all_ideals(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> tuple:
+def all_ideals(algebra: FiniteMVAlgebra) -> tuple:
     """Every ideal, sorted by (size, member list): `ideal_lattice(...).ideals`."""
-    return ideal_lattice(algebra, max_size).ideals
+    return ideal_lattice(algebra).ideals
 
 
 def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
     """Least ideal containing `seed`: I_S for S the union of the seed's
     supports, since I_S contains x iff s(x) lies in S (O(|seed| + 2^k))."""
     mask = _member_mask(algebra, seed)
-    core = _lattice_core(algebra, None)
+    core = _lattice_core(algebra)
     i = int(np.flatnonzero(core.supports == np.bitwise_or.reduce(core.support[mask]))[0])
     return _ideal(algebra, core.members[i], int(core.generators[i]))
 
 
-def classify(algebra: FiniteMVAlgebra, ideal: Ideal,
-             max_size=DEFAULT_MAX_SIZE) -> IdealClassification:
+def classify(algebra: FiniteMVAlgebra, ideal: Ideal) -> IdealClassification:
     """Flags and generator g read off the lattice, which holds every ideal (a
     set outside it is refused); proper is g != 1, and a maximal I = [0, g]
     has rank n / |I|: each class of A = [0, g] x [0, neg g] has |I| members."""
-    core = _lattice_core(algebra, max_size)
+    core = _lattice_core(algebra)
     i = core.index.get(ideal.members)
     if i is None:
         raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
@@ -340,7 +337,7 @@ def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     return tuple(_ideal(algebra, frozenset(m), g) for m, g in found)
 
 
-def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
+def is_regular(algebra: FiniteMVAlgebra) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?
 
     Always, given the certificate A = prod_{j in K} L_{n_j}: the center is
@@ -348,9 +345,8 @@ def is_regular(algebra: FiniteMVAlgebra, max_size=DEFAULT_MAX_SIZE) -> bool:
     Central elements are idempotent, so P_j generates the down-set of its
     join (digit 0 at j, top elsewhere), M_j = {x : x_j = 0}, which is prime
     as A/M_j is the chain L_{n_j}.  Tables without a certificate raise
-    InternalConsistencyError; `max_size` caps `algebra.size`.
+    InternalConsistencyError.  Cost: the certificate's, O(n^2) once when
+    it is not cached, within the n x n table's own bound.
     """
-    if max_size is not None and algebra.size > max_size:
-        raise ResourceCapError(algebra.size, max_size)
     _certificate(algebra)
     return True

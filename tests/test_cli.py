@@ -347,6 +347,24 @@ def test_max_size_flag_controls_cap(capsys):
     assert code == 4 and report["error"]["cap"] == 32
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "center", "ideals", "quotient", "complete"])
+def test_every_finite_command_admits_exactly_up_to_the_cap(capsys, tmp_path, command):
+    """`--max-size` is checked where the document becomes an algebra: a
+    carrier of n passes at n and is refused at n - 1, as a `tables` and as
+    a `product` document, with the admission message."""
+    relabeled = finite.relabel(finite.chain_product([3, 2]), [4, 2, 0, 5, 1, 3])
+    for doc in (cli.tables_document(relabeled), {"type": "product", "orders": [3, 2]}):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        extra = ["--ideal", json.dumps([doc.get("zero", 0)])] if command == "quotient" else []
+        code, report = invoke(capsys, command, str(path), *extra, "--max-size", "6")
+        assert code == 0 and "result" in report, (doc["type"], report)
+        code, report = invoke(capsys, command, str(path), *extra, "--max-size", "5")
+        assert code == 4, (doc["type"], report)
+        assert report["error"] == {"kind": "resource-cap", "cap": 5,
+                                   "message": "carrier size 6 exceeds the cap of 5"}
+
+
 SPEC_CONST_2 = {
     "type": "full_product", "period": 1,
     "classes": [{"kind": "const", "order": 2}],

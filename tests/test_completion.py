@@ -362,3 +362,25 @@ def test_center_check_catches_digits_relabeled_inside_a_chain():
     finally:
         A._cache.clear()
         A._cache["decomposition"] = cert
+
+
+def test_analysis_layers_take_an_algebra_past_the_default_cap():
+    """The carrier cap is checked where an algebra is admitted and nowhere
+    after: a chain built past the default cap of 4096 goes through every
+    lattice and completion layer, which agree with `generated_ideal`."""
+    A = L(mv.DEFAULT_MAX_SIZE + 1)
+    zero, whole = mv.generated_ideal(A, [A.zero]), mv.generated_ideal(A, [A.one])
+    assert mv.all_ideals(A) == (zero, whole)
+    assert mv.classify(A, zero) == mv.IdealClassification(True, True, True, A.size, A.zero)
+    assert mv.classify(A, whole) == mv.IdealClassification(False, False, False, None, A.one)
+    assert mv.is_regular(A)
+    system = mv.build_inverse_system(A)
+    assert system.ideals == (zero, whole)
+    assert [q.size for q in system.quotients] == [A.size, 1]
+    result = mv.profinite_completion(A)
+    assert result.is_isomorphism and result.thread_count == A.size
+    assert result.system.ideals == (zero, whole)
+    report = mv.verify_center_correspondence(A)
+    assert report.ok and report.ideal_count == report.center_ideal_count == 2
+    commute = mv.verify_center_completion_commute(A)
+    assert commute.ok and commute.center_of_completion_size == commute.completion_of_center_size == 2

@@ -312,6 +312,10 @@ def test_interval_algebra_examples():
 
     with pytest.raises(NotCentralError):
         mv.interval_algebra(A, label_to_index["(0,1/2)"])
+    # an index out of range is named, not read as a label (-1 would name the central top)
+    for a in (-1, 6, 99):
+        with pytest.raises(NotCentralError, match=rf"element index {a} is out of range 0\.\.5"):
+            mv.interval_algebra(A, a)
 
 
 def test_interval_algebras_reproduce_factors(family):

@@ -12,7 +12,6 @@ from mvkit.errors import (
     InternalConsistencyError,
     NotAnIdealError,
     PreconditionError,
-    ResourceCapError,
 )
 
 from conftest import (
@@ -88,17 +87,6 @@ def test_all_ideals_examples():
     for n in (2, 3, 5, 7):
         assert len(mv.all_ideals(L(n))) == 2
     assert len(mv.all_ideals(mv.trivial_algebra())) == 1
-
-
-def test_cached_lattice_still_meets_the_cap():
-    """The cap is checked before the cached lattice is read, so a smaller
-    cap on a second call still refuses."""
-    A = mv.product([L(3), L(2)])
-    assert len(mv.all_ideals(A)) == 4
-    with pytest.raises(ResourceCapError):
-        mv.all_ideals(A, max_size=4)
-    with pytest.raises(ResourceCapError):
-        mv.classify(A, mv.zero_ideal(A), max_size=4)
 
 
 def test_all_ideals_matches_subset_oracle():
@@ -319,9 +307,6 @@ def test_is_regular_matches_lattice_oracle(family):
     cases += [L(n) for n in range(2, 9)] + [mv.trivial_algebra()]
     for A in cases:
         assert mv.is_regular(A) == is_regular_by_lattice(A), A.size
-    # the cap is on the algebra, not on its 4-element center
-    with pytest.raises(ResourceCapError):
-        mv.is_regular(mv.product([L(3), L(3)]), max_size=8)
 
 
 def test_ideal_lattice_matches_oracles(family):

@@ -1,0 +1,35 @@
+"""Source hygiene: no library module imports a name it never uses."""
+
+import ast
+import pathlib
+
+import pytest
+
+import mvkit
+
+MODULES = sorted(p for p in pathlib.Path(mvkit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's imports that no other node reads, in
+    import order; `from __future__` imports are directives, not names."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom .errors import A, B as C\nC()\n"
+    assert unused_imports(source) == ["os", "A"]
+    assert unused_imports("import os.path\nos.path.join\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_modules_use_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
