@@ -8,7 +8,6 @@ ultrafilter limits, a maximal-ideal census, and the strong-completeness
 decision procedure.
 """
 
-from .chain import Chain, ChainElement
 from .completion import (
     CenterCompletionReport,
     CenterCorrespondenceReport,

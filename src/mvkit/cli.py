@@ -17,7 +17,6 @@ precondition, 3 schema error, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -35,7 +34,9 @@ from .errors import (
 from .finite import (
     DEFAULT_MAX_SIZE,
     FiniteMVAlgebra,
+    _all_ints,
     _certificate,
+    _expect,
     as_tables,
     boolean_center,
     chain_product,
@@ -63,16 +64,6 @@ SCHEMA_VERSION = "1"
 
 
 # -- document parsing -------------------------------------------------------
-
-
-def _expect(cond, message):
-    if not cond:
-        raise SchemaError(message)
-
-
-def _all_ints(values) -> bool:
-    """Every value is an int and not a bool; the types are gathered at C speed."""
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 def _int_field(doc, key):
@@ -126,41 +117,17 @@ def parse_index_spec(doc) -> IndexSpec:
 def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
     """Returns ("finite", FiniteMVAlgebra) or ("symbolic", IndexSpec).
 
-    Tables are validated here, by `from_tables`.  A product needs no
-    validation: `chain_product` builds it, an MV-algebra by construction,
-    once its orders have met the cap.
+    The library checks finite documents: `from_tables` admits and validates
+    tables, and `chain_product` admits chain orders and builds their product,
+    an MV-algebra by construction.
     """
     _expect(isinstance(doc, dict), "algebra document must be a JSON object")
     kind = doc.get("type")
     if kind == "tables":
-        size = _int_field(doc, "size")
-        zero = _int_field(doc, "zero")
-        oplus = doc.get("oplus")
-        neg = doc.get("neg")
-        # `_read_document` reads a plain oplus as a 2-d int64 array of integers;
-        # lists come from json.loads or a library caller
-        if not (isinstance(oplus, np.ndarray) and oplus.dtype == np.int64 and oplus.ndim == 2):
-            _expect(isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
-                    "field 'oplus' must be a list of rows")
-            _expect(_all_ints(itertools.chain.from_iterable(oplus)), "field 'oplus' must contain integers")
-        _expect(isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
-        _expect(size >= 1, f"carrier size must be >= 1, got {size}")
-        _expect(len(oplus) == size and (oplus.shape[1] == size if isinstance(oplus, np.ndarray)
-                                        else all(len(r) == size for r in oplus)),
-                f"field 'oplus' must be a {size}x{size} matrix")
-        _expect(len(neg) == size, f"field 'neg' must have {size} entries")
-        labels = doc.get("labels")
-        if labels is not None:
-            _expect(isinstance(labels, list) and len(labels) == size
-                    and all(isinstance(s, str) for s in labels),
-                    f"field 'labels' must be a list of {size} strings")
-        return "finite", from_tables(size, zero, oplus, neg, labels, max_size=max_size)
+        return "finite", from_tables(doc.get("size"), doc.get("zero"), doc.get("oplus"), doc.get("neg"),
+                                     doc.get("labels"), max_size=max_size)
     if kind == "product":
-        orders = doc.get("orders")
-        _expect(isinstance(orders, list), "field 'orders' must be a list")
-        _expect(all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in orders),
-                "chain orders must be integers >= 2")
-        return "finite", chain_product(orders, max_size)
+        return "finite", chain_product(doc.get("orders"), max_size)
     if kind == "full_product":
         return "symbolic", parse_index_spec(doc)
     raise SchemaError(f"document type must be 'tables', 'product' or 'full_product', got {kind!r}")

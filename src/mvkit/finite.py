@@ -14,10 +14,10 @@ chain decomposition as a certificate (a finite MV-algebra is a product of
 Lukasiewicz chains, and a bijective homomorphism onto such a product proves
 every axiom), in O(n^2) whatever the number of atoms.  Only tables it
 refuses meet the axiom checks and the O(n^3) associativity sweep, which
-report the first failing axiom together with a witness.  `FiniteMVAlgebra`
-range-checks its tables; algebras the library builds are valid by
-construction and skip that through `FiniteMVAlgebra._built`.  The test
-suite re-validates representatives of every such construction.
+report the first failing axiom together with a witness.  Caller tables meet
+the CLI's schema checks in `FiniteMVAlgebra` and `from_tables` alike; the
+library's own algebras are valid by construction and skip them through
+`FiniteMVAlgebra._built`, and tests re-validate each such construction.
 
 The certificate (`Decomposition`: the center atoms, their chain orders and
 the n x k digit array) is cached on the algebra under "decomposition".
@@ -29,6 +29,7 @@ ideals are read off the digits without recomputing it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,42 +59,27 @@ def index_dtype(n: int):
     return np.uint16 if n <= 65536 else np.int32
 
 
-def _wide(table, what: str) -> np.ndarray:
-    """`table` unnarrowed: lists are read at int64, past which is out of range."""
-    try:
-        return table if isinstance(table, np.ndarray) else np.asarray(table, dtype=np.int64)
-    except OverflowError:
-        raise SchemaError(f"{what} table contains out-of-range indices") from None
+def _expect(cond, message):
+    if not cond:
+        raise SchemaError(message)
+
+
+def _all_ints(values) -> bool:
+    """Every value is an int and not a bool; the types are gathered at C speed."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 class FiniteMVAlgebra:
     """A finite MV-algebra given by its truncated-sum and negation tables.
 
-    The tables are read-only `index_dtype(size)` arrays, range-checked before
-    narrowing.  Immutable once built; the order matrix and the certificate
-    are cached lazily, so concurrent readers may compute one redundantly but
-    never observe a partial state.
+    The tables are read-only `index_dtype(size)` arrays, admitted as
+    `from_tables` admits them, cap aside.  Immutable once built; the order
+    matrix and the certificate are cached lazily, so concurrent readers may
+    compute one redundantly but never observe a partial state.
     """
 
     def __init__(self, size, zero, oplus_table, neg_table, labels=None):
-        oplus, neg = _wide(oplus_table, "oplus"), _wide(neg_table, "neg")
-        if size < 1:
-            raise SchemaError(f"carrier size must be >= 1, got {size}")
-        if oplus.shape != (size, size):
-            raise SchemaError(f"oplus table has shape {oplus.shape}, expected {(size, size)}")
-        if neg.shape != (size,):
-            raise SchemaError(f"neg table has shape {neg.shape}, expected {(size,)}")
-        if not (0 <= zero < size):
-            raise SchemaError(f"zero index {zero} out of range for size {size}")
-        # on the wide input, so the cast wraps nothing into range
-        for what, t in (("oplus", oplus), ("neg", neg)):
-            if t.max() >= size or t.dtype.kind != "u" and t.min() < 0:
-                raise SchemaError(f"{what} table contains out-of-range indices")
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != size:
-                raise SchemaError(f"{len(labels)} labels for {size} elements")
-        vars(self).update(vars(self._built(size, zero, oplus, neg, labels)))
+        vars(self).update(vars(_admitted(size, zero, oplus_table, neg_table, labels, None)))
 
     @classmethod
     def _built(cls, size, zero, oplus, neg, labels=None) -> FiniteMVAlgebra:
@@ -160,6 +146,44 @@ def as_tables(algebra: FiniteMVAlgebra):
 # -- validating constructor ----------------------------------------------
 
 
+def _admitted(size, zero, oplus, neg, labels, max_size) -> FiniteMVAlgebra:
+    """The algebra on a caller's tables after the CLI's schema checks, in its
+    order: the fields' types (lists, or integer arrays, whose shape is read
+    in O(1)); size >= 1, the shapes and the labels; the cap; then, on the
+    unnarrowed tables, so no cast wraps an entry into range, entries past
+    int64, the zero index and each entry's range."""
+    for key, value in (("size", size), ("zero", zero)):
+        _expect(isinstance(value, int) and not isinstance(value, bool), f"field {key!r} must be an integer")
+    array = isinstance(oplus, np.ndarray)
+    _expect(oplus.ndim == 2 if array else isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
+            "field 'oplus' must be a list of rows")
+    _expect(oplus.dtype.kind in "iu" if array else _all_ints(itertools.chain.from_iterable(oplus)),
+            "field 'oplus' must contain integers")
+    _expect(neg.ndim == 1 and neg.dtype.kind in "iu" if isinstance(neg, np.ndarray)
+            else isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
+    _expect(size >= 1, f"carrier size must be >= 1, got {size}")
+    _expect(len(oplus) == size and (oplus.shape[1] == size if array else all(len(r) == size for r in oplus)),
+            f"field 'oplus' must be a {size}x{size} matrix")
+    _expect(len(neg) == size, f"field 'neg' must have {size} entries")
+    if labels is not None:
+        _expect(isinstance(labels, (list, tuple)) and len(labels) == size
+                and all(isinstance(s, str) for s in labels),
+                f"field 'labels' must be a list of {size} strings")
+        labels = tuple(labels)
+    capped_size([size], max_size)
+    tables = {"oplus": oplus, "neg": neg}
+    for what, table in tables.items():
+        try:
+            tables[what] = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=np.int64)
+        except OverflowError:
+            raise SchemaError(f"{what} table contains out-of-range indices") from None
+    _expect(0 <= zero < size, f"zero index {zero} out of range for size {size}")
+    for what, table in tables.items():
+        _expect(table.max() < size and (table.dtype.kind == "u" or table.min() >= 0),
+                f"{what} table contains out-of-range indices")
+    return FiniteMVAlgebra._built(size, zero, tables["oplus"], tables["neg"], labels)
+
+
 def from_tables(size, zero, oplus_table, neg_table, labels=None,
                 max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
     """Build an algebra from raw tables, verifying every axiom.
@@ -173,10 +197,10 @@ def from_tables(size, zero, oplus_table, neg_table, labels=None,
     O(n^3) sweep), involution, mv1, mv2, to report the first failure.
 
     Raises MVAxiomError naming the first failed axiom and a witness tuple;
-    structural problems raise SchemaError, oversize carriers ResourceCapError.
+    malformed tables raise SchemaError with the CLI's messages (`_admitted`),
+    oversize carriers ResourceCapError.
     """
-    capped_size([size], max_size)
-    alg = FiniteMVAlgebra(size, zero, oplus_table, neg_table, labels)
+    alg = _admitted(size, zero, oplus_table, neg_table, labels, max_size)
     if alg.size == 1:
         return alg
     try:
@@ -271,8 +295,10 @@ def capped_size(sizes, max_size=DEFAULT_MAX_SIZE) -> int:
 
 
 def chain_product(orders, max_size=DEFAULT_MAX_SIZE) -> FiniteMVAlgebra:
-    """The product of the chains of `orders`, refused by the cap before any
-    chain is built, each distinct order's chain built once."""
+    """The product of the chains of `orders`, a list of ints >= 2, refused by
+    the cap before any chain is built, each distinct order's chain built once."""
+    _expect(isinstance(orders, list), "field 'orders' must be a list")
+    _expect(_all_ints(orders) and min(orders, default=2) >= 2, "chain orders must be integers >= 2")
     capped_size(orders, max_size)
     chains = {order: chain_algebra(order) for order in set(orders)}
     return product([chains[order] for order in orders], max_size=max_size)

@@ -28,6 +28,9 @@ of the center by the center's threads and an isomorphism search
 is decided by sublevel sets (`in_kernel_by_sublevels`), strong completeness
 by a scan of the residue classes for a constant one
 (`decide_by_class_scan`), and lattice facts are recomputed from the numeric order of chain elements.
+Chain tables are checked against `Chain`, exact chain arithmetic on integer
+numerators with the lattice operations and the order taken through their
+defining formulas, and itself checked against `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import itertools
 import math
 import random
 import types
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +79,110 @@ def shuffled(algebra, rng):
 
 
 # -- oracles ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Chain:
+    """The Lukasiewicz chain {0, 1/(n-1), ..., 1} with `order` = n >= 2
+    elements, its elements stored as integer numerators over n - 1.
+
+    The lattice operations are computed through the defining formulas
+        x v y = neg(neg x (+) y) (+) y        x ^ y = neg(neg x v neg y)
+    and the order through x <= y  iff  neg x (+) y = 1; the numeric shortcuts
+    (max/min/<=) are kept out on purpose, so tests can use them as
+    independent oracles.
+    """
+
+    order: int
+
+    def __post_init__(self):
+        if not isinstance(self.order, int) or self.order < 2:
+            raise ValueError(f"chain order must be an integer >= 2, got {self.order!r}")
+
+    @property
+    def denominator(self) -> int:
+        return self.order - 1
+
+    def element(self, numerator: int) -> "ChainElement":
+        return ChainElement(numerator, self)
+
+    @property
+    def zero(self) -> "ChainElement":
+        return ChainElement(0, self)
+
+    @property
+    def one(self) -> "ChainElement":
+        return ChainElement(self.order - 1, self)
+
+    def elements(self):
+        return [ChainElement(k, self) for k in range(self.order)]
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __iter__(self):
+        return iter(self.elements())
+
+    def __repr__(self) -> str:
+        return f"Chain({self.order})"
+
+
+@dataclass(frozen=True)
+class ChainElement:
+    """The rational numerator/(order-1) inside a fixed chain."""
+
+    numerator: int
+    chain: Chain
+
+    def __post_init__(self):
+        if not 0 <= self.numerator <= self.chain.order - 1:
+            raise ValueError(f"numerator {self.numerator} out of range for {self.chain!r}")
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.chain.denominator)
+
+    def _check(self, other: "ChainElement") -> None:
+        if self.chain != other.chain:
+            raise mv.MismatchedChainError(f"elements of {self.chain!r} and {other.chain!r} are incompatible")
+
+    def oplus(self, other: "ChainElement") -> "ChainElement":
+        """Truncated addition min(x + y, 1)."""
+        self._check(other)
+        top = self.chain.order - 1
+        return ChainElement(min(self.numerator + other.numerator, top), self.chain)
+
+    def neg(self) -> "ChainElement":
+        """Negation 1 - x."""
+        return ChainElement(self.chain.order - 1 - self.numerator, self.chain)
+
+    def odot(self, other: "ChainElement") -> "ChainElement":
+        """Dual multiplication neg(neg x (+) neg y) = max(x + y - 1, 0)."""
+        self._check(other)
+        return self.neg().oplus(other.neg()).neg()
+
+    def join(self, other: "ChainElement") -> "ChainElement":
+        self._check(other)
+        return self.neg().oplus(other).neg().oplus(other)
+
+    def meet(self, other: "ChainElement") -> "ChainElement":
+        self._check(other)
+        return self.neg().join(other.neg()).neg()
+
+    def leq(self, other: "ChainElement") -> bool:
+        self._check(other)
+        return self.neg().oplus(other).numerator == self.chain.order - 1
+
+    def distance(self, other: "ChainElement") -> "ChainElement":
+        """neg(neg x (+) y) (+) neg(x (+) neg y); numerically |x - y|."""
+        self._check(other)
+        left = self.neg().oplus(other).neg()
+        right = self.oplus(other.neg()).neg()
+        return left.oplus(right)
+
+    def __repr__(self) -> str:
+        return f"L{self.chain.order}({self.value})"
+
 
 
 def ideals_by_subset_scan(algebra):

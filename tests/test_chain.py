@@ -1,16 +1,18 @@
-"""Chain arithmetic: frozen examples, exhaustive identities, random properties."""
+"""The chain-arithmetic oracle `Chain`: frozen examples, exhaustive
+identities, random properties against `Fraction` arithmetic."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-import mvkit as mv
 from mvkit.errors import MismatchedChainError
+
+from conftest import Chain
 
 
 def el(order, k):
-    return mv.Chain(order).element(k)
+    return Chain(order).element(k)
 
 
 def test_oplus_truncates_at_one():
@@ -21,7 +23,7 @@ def test_oplus_truncates_at_one():
 def test_oplus_identity():
     for n in range(2, 7):
         for k in range(n):
-            assert mv.Chain(n).zero.oplus(el(n, k)) == el(n, k)
+            assert Chain(n).zero.oplus(el(n, k)) == el(n, k)
 
 
 def test_neg_examples():
@@ -45,13 +47,13 @@ def test_distance_examples():
     assert el(5, 1).distance(el(5, 3)) == el(5, 2)       # |1/4 - 3/4| = 1/2
     for n in range(2, 7):
         for k in range(n):
-            assert el(n, k).distance(el(n, k)) == mv.Chain(n).zero
-            assert mv.Chain(n).zero.distance(el(n, k)) == el(n, k)
+            assert el(n, k).distance(el(n, k)) == Chain(n).zero
+            assert Chain(n).zero.distance(el(n, k)) == el(n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mv_axioms_exhaustive_small_orders(n):
-    chain = mv.Chain(n)
+    chain = Chain(n)
     one = chain.one
     for x in chain:
         assert one.oplus(x) == one
@@ -63,7 +65,7 @@ def test_mv_axioms_exhaustive_small_orders(n):
 
 def test_distance_symmetric_and_separating():
     for n in range(2, 9):
-        chain = mv.Chain(n)
+        chain = Chain(n)
         for x in chain:
             for y in chain:
                 d = x.distance(y)
@@ -74,7 +76,7 @@ def test_distance_symmetric_and_separating():
 
 def test_lattice_formulas_match_numeric_order():
     for n in range(2, 9):
-        chain = mv.Chain(n)
+        chain = Chain(n)
         for x in chain:
             for y in chain:
                 assert x.join(y).value == max(x.value, y.value)
@@ -91,11 +93,11 @@ def test_mismatched_chains_rejected():
 
 def test_order_and_numerator_validation():
     with pytest.raises(ValueError):
-        mv.Chain(1)
+        Chain(1)
     with pytest.raises(ValueError):
-        mv.Chain(4).element(4)
+        Chain(4).element(4)
     with pytest.raises(ValueError):
-        mv.Chain(4).element(-1)
+        Chain(4).element(-1)
 
 
 @given(st.integers(2, 50), st.data())

@@ -1,9 +1,13 @@
 """CLI: schema handling, exit-status contract, determinism, round-trips."""
 
 import json
+import os
+import tempfile
 
+import numpy as np
 import pytest
 
+import mvkit as mv
 from mvkit import cli, data, finite, symbolic
 from mvkit.cli import parse_algebra_document, run
 
@@ -17,20 +21,23 @@ MAX_OPLUS = {
 
 
 def invoke(capsys, command, doc, *extra):
-    path = None
-    if isinstance(doc, (dict, list)):
-        import tempfile
-
-        handle = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8")
-        json.dump(doc, handle)
-        handle.close()
-        path = handle.name
-    else:
+    """(exit code, report) of `mvkit command doc *extra`; a dict or list
+    document is written to a temporary directory, removed afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
         path = str(doc)
-    code = run([command, path, *extra])
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+        if isinstance(doc, (dict, list)):
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        code = run([command, path, *extra])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_invoke_leaves_no_temporary_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    for doc in (PRODUCT_23, [PRODUCT_23], data.path("example_4_5")):
+        invoke(capsys, "verify", doc)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_valid(capsys):
@@ -415,6 +422,42 @@ def test_non_string_labels_exit_3(capsys):
     assert "labels" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("command, doc, extra, code, message", [
+    ("decide-sc", dict(SPEC_CONST_2, index_set={"kind": "finite", "limit": -2}), [],
+     3, "index-set limit must be a natural number, got -2"),
+    ("limit", dict(SPEC_CONST_2, classes=[{"kind": "const", "order": 3}]),
+     ["--element", '{"modulus": 1, "class_values": [0], "prefix": {"0": 7}}', "--ultrafilter", "principal:0"],
+     3, "prefix value 7 invalid in the 3-element chain at 0"),
+    ("limit", SPEC_CONST_2,
+     ["--element", '{"modulus": 1, "class_values": [0], "prefix": {}}', "--ultrafilter", "free:0:0"],
+     2, "residue 0 mod 0 is not a residue class"),
+    ("decide-sc", [SPEC_CONST_2], [], 3, "algebra document must be a JSON object"),
+    ("verify", [SPEC_CONST_2], [], 3, "algebra document must be a JSON object"),
+    ("limit", SPEC_CONST_2, ["--element", "[1]", "--ultrafilter", "principal:0"],
+     3, "element must be a JSON object"),
+    ("verify", {"type": "product", "orders": 5}, [], 3, "field 'orders' must be a list"),
+    ("decide-sc", dict(SPEC_CONST_2, period=2), [], 3, "1 classes for period 2"),
+    ("decide-sc", dict(SPEC_CONST_2, period="1"), [], 3, "field 'period' must be an integer"),
+    ("decide-sc", dict(SPEC_CONST_2, prefix_overrides={"0": "x"}), [],
+     3, "override value for 0 must be an integer"),
+    ("decide-sc", dict(SPEC_CONST_2, classes=5), [], 3, "field 'classes' must be a list"),
+    ("decide-sc", dict(SPEC_CONST_2, classes=[5]), [], 3, "each class must be an object"),
+    ("decide-sc", dict(SPEC_CONST_2, prefix_overrides=[]), [], 3, "field 'prefix_overrides' must be an object"),
+    ("decide-sc", dict(SPEC_CONST_2, index_set=5), [], 3, "field 'index_set' must be an object"),
+    ("limit", SPEC_CONST_2, ["--element", '{"modulus": 1, "class_values": 5}', "--ultrafilter", "principal:0"],
+     3, "field 'class_values' must be a list"),
+    ("limit", SPEC_CONST_2,
+     ["--element", '{"modulus": 1, "class_values": [0], "prefix": []}', "--ultrafilter", "principal:0"],
+     3, "field 'prefix' must be an object"),
+])
+def test_guarded_refusals_report_exactly(capsys, command, doc, extra, code, message):
+    """Each input is refused by one guard, with that guard's own exit code
+    and message."""
+    got, report = invoke(capsys, command, doc, *extra)
+    kind = {2: "domain", 3: "schema"}[code]
+    assert (got, report["error"]) == (code, {"kind": kind, "message": message})
+
+
 def finite_index_set(limit):
     return dict(SPEC_CONST_2, index_set={"kind": "finite", "limit": limit})
 
@@ -440,7 +483,10 @@ def test_negative_cap_exits_3(capsys, flag):
 TABLES_23 = {"type": "tables", "size": 2, "zero": 0, "oplus": [[0, 1], [1, 1]], "neg": [1, 0]}
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+BAD_ENTRIES = [True, 1.0, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
 def test_table_entries_must_be_integers(capsys, bad):
     oplus = [[0, 1], [1, bad]]
     code, report = invoke(capsys, "verify", dict(TABLES_23, oplus=oplus))
@@ -451,17 +497,66 @@ def test_table_entries_must_be_integers(capsys, bad):
         "kind": "schema", "message": "field 'neg' must be a list of integers"}
 
 
-@pytest.mark.parametrize("change, message", [
+MALFORMED_TABLES = [
     ({"oplus": [[0, 1], 1]}, "field 'oplus' must be a list of rows"),
     ({"oplus": [[0, 1], [1, 1, 1]]}, "field 'oplus' must be a 2x2 matrix"),
     ({"oplus": [[0, 1], [1, True, 1]]}, "field 'oplus' must contain integers"),
     ({"neg": [1]}, "field 'neg' must have 2 entries"),
     ({"oplus": [], "neg": []}, "field 'oplus' must be a 2x2 matrix"),
     ({"size": -1, "oplus": [], "neg": []}, "carrier size must be >= 1, got -1"),
-])
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_TABLES)
 def test_malformed_tables_messages(capsys, change, message):
     code, report = invoke(capsys, "verify", dict(TABLES_23, **change))
     assert code == 3 and report["error"] == {"kind": "schema", "message": message}
+
+
+LIBRARY_ONLY_TABLES = [
+    ({"oplus": [[0, 1.7], [1.2, 1]]}, "field 'oplus' must contain integers"),
+    ({"oplus": np.array([[0, 1], [1, 1]], dtype=float)}, "field 'oplus' must contain integers"),
+    ({"oplus": np.array([[0, 1], [1, 1]], dtype=bool)}, "field 'oplus' must contain integers"),
+    ({"oplus": np.array([0, 1, 1, 1])}, "field 'oplus' must be a list of rows"),
+    ({"neg": np.array([1.0, 0.0])}, "field 'neg' must be a list of integers"),
+    ({"neg": np.array([[1, 0]])}, "field 'neg' must be a list of integers"),
+    ({"oplus": np.array([[0, 1, 1], [1, 1, 1]])}, "field 'oplus' must be a 2x2 matrix"),
+    ({"neg": np.array([1, 0, 0])}, "field 'neg' must have 2 entries"),
+    ({"zero": 0.0}, "field 'zero' must be an integer"),
+    ({"size": 2.0}, "field 'size' must be an integer"),
+    ({"size": True}, "field 'size' must be an integer"),
+    ({"oplus": [[0, 1], [1]]}, "field 'oplus' must be a 2x2 matrix"),
+    ({"oplus": ((0, 1), (1, 1))}, "field 'oplus' must be a list of rows"),
+    ({"labels": ["a", 1]}, "field 'labels' must be a list of 2 strings"),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_TABLES + LIBRARY_ONLY_TABLES + [
+    ({"oplus": [[0, 1], [1, bad]]}, "field 'oplus' must contain integers") for bad in BAD_ENTRIES] + [
+    ({"neg": [1, bad]}, "field 'neg' must be a list of integers") for bad in BAD_ENTRIES])
+@pytest.mark.parametrize("constructor", [mv.from_tables, mv.FiniteMVAlgebra])
+def test_library_constructors_refuse_malformed_tables_with_the_cli_messages(constructor, change, message):
+    """`from_tables` and `FiniteMVAlgebra` admit tables with the CLI's checks
+    and messages: no float, bool, string or None entry is cast to an index,
+    and ragged rows are a schema error, not numpy's ValueError."""
+    doc = dict(TABLES_23, **change)
+    with pytest.raises(mv.SchemaError) as info:
+        constructor(doc["size"], doc["zero"], doc["oplus"], doc["neg"], doc.get("labels"))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("orders, message", [
+    ([2, 2.5], "chain orders must be integers >= 2"),
+    ([True, 2], "chain orders must be integers >= 2"),
+    (["3"], "chain orders must be integers >= 2"),
+    ([2, 1], "chain orders must be integers >= 2"),
+    (5, "field 'orders' must be a list"),
+    ((2, 3), "field 'orders' must be a list"),
+])
+def test_chain_product_refuses_malformed_orders_with_the_cli_messages(orders, message):
+    with pytest.raises(mv.SchemaError) as info:
+        finite.chain_product(orders)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose", "ideals"])

@@ -22,6 +22,7 @@ from mvkit.errors import (
 
 from conftest import (
     SWEEP_ORDER,
+    Chain,
     axiom_failure_by_sweep,
     build_family,
     bundled_specs,
@@ -60,7 +61,7 @@ def test_chain_tables_accepted():
 def test_chain_tables_match_chain_arithmetic():
     for n in range(2, 7):
         alg = mv.chain_algebra(n)
-        chain = mv.Chain(n)
+        chain = Chain(n)
         for i in range(n):
             assert alg.neg(i) == chain.element(i).neg().numerator
             for j in range(n):
@@ -111,6 +112,13 @@ def test_out_of_range_entries_raise_schema_errors_before_narrowing(entry):
         if -2**63 <= entry < 2**63:
             with pytest.raises(SchemaError, match=what):
                 mv.FiniteMVAlgebra(2, 0, np.array(oplus), np.array(neg))
+
+
+def test_chain_order_and_relabeling_are_checked():
+    with pytest.raises(ValueError, match="chain order must be >= 2, got 1"):
+        mv.chain_algebra(1)
+    with pytest.raises(ValueError, match="relabeling must be a permutation of the carrier"):
+        mv.relabel(mv.chain_algebra(3), [0, 0, 1])
 
 
 def test_index_dtype_is_uint16_up_to_65536_elements():

@@ -251,6 +251,8 @@ def test_non_ideals_rejected():
         mv.quotient(A, mv.Ideal(A, frozenset({A.zero, A.one})))  # not downward closed
     with pytest.raises(NotAnIdealError):
         mv.make_ideal(A, [0, 99])
+    with pytest.raises(NotAnIdealError, match=r"is not an ideal"):
+        mv.classify(A, mv.Ideal(A, frozenset({A.zero, A.one})))
 
 
 def test_member_mask_matches_the_loop_it_replaced():

@@ -49,6 +49,25 @@ def test_chain_order_laws():
     assert withp.order_at(4) == 3
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mv.IndexSpec(1, [mv.ConstClass(2)], {-1: 3}), SchemaError, "override index -1 must be a natural number"),
+    (lambda: mv.SymbolicElement(spec_4_6(), 3, {}, (0, 0, 0)), SchemaError,
+     "modulus must be a positive multiple of the period 2, got 3"),
+    (lambda: mv.SymbolicElement(spec_const(), 2, {}, (0,)), SchemaError, "1 class values for modulus 2"),
+    (lambda: mv.SymbolicElement(spec_const(), 2, {}, (0, 1)).with_modulus(3), SchemaError,
+     "3 does not refine modulus 2"),
+    (lambda: mv.SymbolicUltrafilter.principal(-1), UltrafilterError,
+     "principal index must be a natural number, got -1"),
+    (lambda: mv.truncate(spec_const(), -1), IndexRangeError, "truncation length must be a natural number, got -1"),
+    (lambda: mv.truncate(mv.IndexSpec(1, [mv.ConstClass(2)], limit=4), 5), IndexRangeError,
+     "truncation length 5 exceeds the index set"),
+])
+def test_symbolic_refusals_report_exactly(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_index_spec_validation():
     with pytest.raises(SchemaError):
         mv.IndexSpec(0, [])
