@@ -9,15 +9,15 @@ guard.  Only the module under `src/mvkit` changes; the tests are copied as
 they are.
 
     python tools/mutation_sweep.py                          # every module
-    python tools/mutation_sweep.py finite.py cli.py --jobs 2
+    python tools/mutation_sweep.py finite.py cli.py
 
 Prints one line per guard (the outcome, module:line and the guard's first
 source line), then the counts; exits 1 when a mutant survives.  The
 unmutated copy runs first and must pass.  A mutant costs up to one tier-1
-run, so a sweep of a few dozen guards takes minutes.  Each run may use
-MEMORY_MB of address space, so a mutant that drops a size cap fails with a
-MemoryError instead of exhausting the machine, and TIMEOUT_S seconds, past
-which the mutant counts as killed.  Uses only the standard library; tier-1
+run, and one mutant runs per CPU, so a sweep of a few dozen guards takes
+minutes.  Each run may use MEMORY_MB of address space, so a mutant that
+drops a size cap fails with a MemoryError instead of exhausting the machine,
+and TIMEOUT_S seconds, past which the mutant counts as killed.  Uses only the standard library; tier-1
 does not collect it.
 """
 
@@ -40,7 +40,7 @@ TIMEOUT_S = 600
 # tier-1 with -x, under the address-space limit the run sets on itself
 TIER1 = [sys.executable, "-c", "import resource, sys, pytest; "
          f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_MB << 20}, {MEMORY_MB << 20})); "
-         "sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider', '--continue-on-collection-errors']))"]
+         "sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider']))"]
 
 
 def guards(source: str):
@@ -95,7 +95,6 @@ def passes(module: str | None, text: bytes | None) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", help="module file names under src/mvkit (default: all)")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (default 1)")
     args = parser.parse_args(argv)
     modules = args.modules or sorted(p.name for p in PACKAGE.glob("*.py"))
     if not passes(None, None):
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
         lines = source.splitlines()
         for guard in guards(source):
             mutants.append((module, guard[0], lines[guard[0] - 1].strip(), mutated(source, guard)))
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         outcomes = pool.map(lambda m: passes(m[0], m[3]), mutants)
         survivors = 0
         for (module, line, text, _), survived in zip(mutants, outcomes):
