@@ -46,8 +46,6 @@ from .finite import (
 from .ideals import all_ideals, classify, make_ideal, quotient
 from .symbolic import (
     DEFAULT_MAX_TRUNCATION,
-    TOP,
-    ZERO,
     ConstClass,
     IndexSpec,
     SymbolicElement,
@@ -66,27 +64,18 @@ SCHEMA_VERSION = "1"
 # -- document parsing -------------------------------------------------------
 
 
-def _int_field(doc, key):
-    v = doc.get(key)
-    _expect(isinstance(v, int) and not isinstance(v, bool), f"field {key!r} must be an integer")
-    return v
-
-
-def _index_keyed_ints(mapping, what):
-    """{index: integer} from an object keyed by ASCII digit strings."""
-    out = {}
-    for key, value in mapping.items():
+def _index_keyed(doc, key, what):
+    """doc[key] (default {}), an object keyed by ASCII digit strings, as {index: value}."""
+    mapping = doc.get(key, {})
+    _expect(isinstance(mapping, dict), f"field {key!r} must be an object")
+    for k in mapping:
         # str.isdigit alone also admits "²", which int() rejects
-        _expect(isinstance(key, str) and key.isascii() and key.isdigit(),
-                f"{what} key {key!r} must be a digit string")
-        _expect(isinstance(value, int) and not isinstance(value, bool),
-                f"{what} value for {key} must be an integer")
-        out[int(key)] = value
-    return out
+        _expect(isinstance(k, str) and k.isascii() and k.isdigit(),
+                f"{what} key {k!r} must be a digit string")
+    return {int(k): value for k, value in mapping.items()}
 
 
 def parse_index_spec(doc) -> IndexSpec:
-    period = _int_field(doc, "period")
     classes_doc = doc.get("classes")
     _expect(isinstance(classes_doc, list), "field 'classes' must be a list")
     classes = []
@@ -94,24 +83,23 @@ def parse_index_spec(doc) -> IndexSpec:
         _expect(isinstance(entry, dict), "each class must be an object")
         kind = entry.get("kind")
         if kind == "const":
-            classes.append(ConstClass(_int_field(entry, "order")))
+            classes.append(ConstClass(entry.get("order")))
         elif kind == "unbounded":
-            classes.append(UnboundedClass(_int_field(entry, "step"), _int_field(entry, "start")))
+            classes.append(UnboundedClass(entry.get("step"), entry.get("start")))
         else:
             raise SchemaError(f"class kind must be 'const' or 'unbounded', got {kind!r}")
-    overrides_doc = doc.get("prefix_overrides", {})
-    _expect(isinstance(overrides_doc, dict), "field 'prefix_overrides' must be an object")
-    overrides = _index_keyed_ints(overrides_doc, "override")
+    overrides = _index_keyed(doc, "prefix_overrides", "override")
     index_set = doc.get("index_set")
     _expect(isinstance(index_set, dict), "field 'index_set' must be an object")
     kind = index_set.get("kind")
     if kind == "infinite":
         limit = None
     elif kind == "finite":
-        limit = _int_field(index_set, "limit")
+        limit = index_set.get("limit")
+        _expect(limit is not None, "field 'limit' must be an integer")   # None is the infinite set
     else:
         raise SchemaError(f"index_set kind must be 'finite' or 'infinite', got {kind!r}")
-    return IndexSpec(period, classes, overrides, limit)
+    return IndexSpec(doc.get("period"), classes, overrides, limit)
 
 
 def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
@@ -135,19 +123,9 @@ def parse_algebra_document(doc, max_size=DEFAULT_MAX_SIZE):
 
 def parse_symbolic_element(doc, spec: IndexSpec) -> SymbolicElement:
     _expect(isinstance(doc, dict), "element must be a JSON object")
-    modulus = _int_field(doc, "modulus")
-    values_doc = doc.get("class_values")
-    _expect(isinstance(values_doc, list), "field 'class_values' must be a list")
-    values = []
-    for v in values_doc:
-        if v in (ZERO, TOP) or (isinstance(v, int) and not isinstance(v, bool)):
-            values.append(v)
-        else:
-            raise SchemaError(f"class value {v!r} must be an integer, 'zero' or 'top'")
-    prefix_doc = doc.get("prefix", {})
-    _expect(isinstance(prefix_doc, dict), "field 'prefix' must be an object")
-    prefix = _index_keyed_ints(prefix_doc, "prefix")
-    return SymbolicElement(spec, modulus, prefix, values)
+    values = doc.get("class_values")
+    _expect(isinstance(values, list), "field 'class_values' must be a list")
+    return SymbolicElement(spec, doc.get("modulus"), _index_keyed(doc, "prefix", "prefix"), values)
 
 
 def parse_ultrafilter(text) -> SymbolicUltrafilter:
@@ -235,8 +213,7 @@ def _require(kind, parsed, command):
 def cmd_verify(args, doc):
     """Valid when the document parses: tables pass `from_tables`, and a
     product of chains is an MV-algebra by construction."""
-    _expect(isinstance(doc, dict), "algebra document must be a JSON object")
-    if doc.get("type") == "full_product":
+    if isinstance(doc, dict) and doc.get("type") == "full_product":
         raise DomainError(f"command 'verify' applies to {_APPLIES['finite']}")
     try:
         algebra = parse_algebra_document(doc, args.max_size)[1]

@@ -65,8 +65,9 @@ def _expect(cond, message):
 
 
 def _all_ints(values) -> bool:
-    """Every value is an int and not a bool; the types are gathered at C speed."""
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
+    """Every value's type is int itself, so no bool and no numpy integer; the
+    types are gathered and compared at C speed."""
+    return {int}.issuperset(map(type, values))
 
 
 class FiniteMVAlgebra:
@@ -153,7 +154,7 @@ def _admitted(size, zero, oplus, neg, labels, max_size) -> FiniteMVAlgebra:
     unnarrowed tables, so no cast wraps an entry into range, entries past
     int64, the zero index and each entry's range."""
     for key, value in (("size", size), ("zero", zero)):
-        _expect(isinstance(value, int) and not isinstance(value, bool), f"field {key!r} must be an integer")
+        _expect(_all_ints([value]), f"field {key!r} must be an integer")
     array = isinstance(oplus, np.ndarray)
     _expect(oplus.ndim == 2 if array else isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
             "field 'oplus' must be a list of rows")
@@ -246,6 +247,8 @@ def chain_algebra(order: int) -> FiniteMVAlgebra:
     Its certificate is attached: the one atom is the top, order - 1, and the
     digit of x is x itself.
     """
+    if not _all_ints([order]):
+        raise ValueError(f"chain order must be an integer, got {order!r}")
     if order < 2:
         raise ValueError(f"chain order must be >= 2, got {order}")
     labels = tuple(str(Fraction(k, order - 1)) for k in range(order))
@@ -362,9 +365,10 @@ def _product_certificate(factors, total, zero):
 def relabel(algebra: FiniteMVAlgebra, permutation) -> FiniteMVAlgebra:
     """The same algebra with carrier indices renamed by a bijection."""
     n = algebra.size
-    if sorted(np.asarray(permutation).tolist()) != list(range(n)):
+    values = permutation.tolist() if isinstance(permutation, np.ndarray) else list(permutation)
+    if not _all_ints(values) or sorted(values) != list(range(n)):
         raise ValueError("relabeling must be a permutation of the carrier")
-    perm = np.asarray(permutation, dtype=index_dtype(n))
+    perm = np.asarray(values, dtype=index_dtype(n))
     old = np.argsort(perm)   # the new element y is the old old[y]
     labels = None if algebra.labels is None else tuple(algebra.labels[x] for x in old)
     return FiniteMVAlgebra._built(n, int(perm[algebra.zero]), perm[algebra.oplus_table[np.ix_(old, old)]],
@@ -414,7 +418,7 @@ def interval_algebra(algebra: FiniteMVAlgebra, a: int):
     x ^ a = neg(neg x (+) neg a) for central a: one O(n) column, no meet table.
     Returns (interval, embedding) like `center_algebra`.
     """
-    if not 0 <= a < algebra.size:
+    if not _all_ints([a]) or not 0 <= a < algebra.size:
         raise NotCentralError(f"element index {a} is out of range 0..{algebra.size - 1}")
     center_members, _ = boolean_center(algebra)
     if a not in center_members:

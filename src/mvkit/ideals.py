@@ -32,6 +32,7 @@ from .errors import InternalConsistencyError, NotAnIdealError, PreconditionError
 from .finite import (
     Decomposition,
     FiniteMVAlgebra,
+    _all_ints,
     _certificate,
     _frozen,
     index_dtype,
@@ -82,11 +83,12 @@ class IdealClassification:
 
 
 def _member_mask(algebra, members) -> np.ndarray:
-    """The members as a bool mask, O(|I|) at C speed; reports the first out of range."""
-    members = tuple(members)
-    if min(members, default=0) < 0 or max(members, default=0) >= algebra.size:
-        x = next(x for x in members if not 0 <= x < algebra.size)
-        raise NotAnIdealError(f"element index {x} out of range")
+    """The members (ints, not bools, or an int array) as a bool mask, O(|I|)
+    at C speed; reports the first that is not an index in range."""
+    members = members.tolist() if isinstance(members, np.ndarray) else tuple(members)
+    if not _all_ints(members) or min(members, default=0) < 0 or max(members, default=0) >= algebra.size:
+        x = next(x for x in members if not (_all_ints([x]) and 0 <= x < algebra.size))
+        raise NotAnIdealError(f"element index {x!r} out of range")
     mask = np.zeros(algebra.size, dtype=bool)
     mask[np.fromiter(members, np.intp, len(members))] = True
     return mask

@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UltrafilterError,
 )
-from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, chain_product
+from .finite import DEFAULT_MAX_SIZE, FiniteMVAlgebra, _all_ints, _expect, chain_product
 
 ZERO = "zero"
 TOP = "top"
@@ -71,36 +71,37 @@ class IndexSpec:
     `classes[r]` governs the indices congruent to r modulo `period`;
     `prefix_overrides` replaces the order at finitely many indices; `limit`
     is None for the full natural-number index set or the number of indices.
+    Every type is checked before any range, with the CLI's messages (floats
+    and bools are not integers): the one admission path for presentations.
     """
 
     def __init__(self, period, classes, prefix_overrides=None, limit=None):
-        if not isinstance(period, int) or period < 1:
-            raise SchemaError(f"period must be a positive integer, got {period!r}")
         classes = tuple(classes)
-        if len(classes) != period:
-            raise SchemaError(f"{len(classes)} classes for period {period}")
+        overrides = dict(prefix_overrides or {})
+        _expect(_all_ints([period]), "field 'period' must be an integer")
+        for cls in classes:
+            _expect(isinstance(cls, (ConstClass, UnboundedClass)), f"unknown class kind {cls!r}")
+            for name, value in vars(cls).items():
+                _expect(_all_ints([value]), f"field {name!r} must be an integer")
+        for x, order in overrides.items():
+            _expect(_all_ints([x]), f"override index {x!r} must be a natural number")
+            _expect(_all_ints([order]), f"override value for {x} must be an integer")
+        _expect(limit is None or _all_ints([limit]), "field 'limit' must be an integer")
+        _expect(period >= 1, f"period must be a positive integer, got {period!r}")
+        _expect(len(classes) == period, f"{len(classes)} classes for period {period}")
         for cls in classes:
             if isinstance(cls, ConstClass):
-                if cls.order < 2:
-                    raise SchemaError(f"constant class order must be >= 2, got {cls.order}")
-            elif isinstance(cls, UnboundedClass):
-                if cls.step < 1 or cls.start < 2:
-                    raise SchemaError(
-                        f"unbounded class needs step >= 1 and start >= 2, got {cls!r}")
+                _expect(cls.order >= 2, f"constant class order must be >= 2, got {cls.order}")
             else:
-                raise SchemaError(f"unknown class kind {cls!r}")
-        overrides = dict(prefix_overrides or {})
+                _expect(cls.step >= 1 and cls.start >= 2,
+                        f"unbounded class needs step >= 1 and start >= 2, got {cls!r}")
         for x, order in overrides.items():
-            if not isinstance(x, int) or x < 0:
-                raise SchemaError(f"override index {x!r} must be a natural number")
-            if not isinstance(order, int) or order < 2:
-                raise SchemaError(f"override order at {x} must be >= 2, got {order!r}")
+            _expect(x >= 0, f"override index {x!r} must be a natural number")
+            _expect(order >= 2, f"override order at {x} must be >= 2, got {order!r}")
         if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise SchemaError(f"index-set limit must be a natural number, got {limit!r}")
+            _expect(limit >= 0, f"index-set limit must be a natural number, got {limit!r}")
             for x in overrides:
-                if x >= limit:
-                    raise SchemaError(f"override index {x} outside the finite index set")
+                _expect(x < limit, f"override index {x} outside the finite index set")
         self.period = period
         self.classes = classes
         self.prefix_overrides = overrides
@@ -143,34 +144,33 @@ class SymbolicElement:
     finitely many indices with explicit numerators; every index whose chain
     order is overridden in the spec must appear in the prefix, so class
     values are always interpreted in the chain their class law dictates.
+    Checked as `IndexSpec` is, every type before the first `spec.order_at`.
     """
 
     def __init__(self, spec, modulus, prefix=None, class_values=()):
-        if not isinstance(modulus, int) or modulus < 1 or modulus % spec.period:
-            raise SchemaError(
-                f"modulus must be a positive multiple of the period {spec.period}, got {modulus!r}")
         class_values = tuple(class_values)
-        if len(class_values) != modulus:
-            raise SchemaError(f"{len(class_values)} class values for modulus {modulus}")
-        prefix = {int(x): int(v) for x, v in (prefix or {}).items()}
+        prefix = dict(prefix or {})
+        _expect(_all_ints([modulus]), "field 'modulus' must be an integer")
+        for v in class_values:
+            _expect(_all_ints([v]) or v in (ZERO, TOP), f"class value {v!r} must be an integer, 'zero' or 'top'")
+        for x, v in prefix.items():
+            _expect(_all_ints([x]), f"prefix index {x!r} must be an integer")
+            _expect(_all_ints([v]), f"prefix value for {x} must be an integer")
+        _expect(modulus >= 1 and modulus % spec.period == 0,
+                f"modulus must be a positive multiple of the period {spec.period}, got {modulus!r}")
+        _expect(len(class_values) == modulus, f"{len(class_values)} class values for modulus {modulus}")
         for x, v in prefix.items():
             order = spec.order_at(x)  # raises on out-of-range indices
-            if not 0 <= v <= order - 1:
-                raise SchemaError(f"prefix value {v} invalid in the {order}-element chain at {x}")
+            _expect(0 <= v <= order - 1, f"prefix value {v} invalid in the {order}-element chain at {x}")
         for x in spec.prefix_overrides:
-            if x not in prefix:
-                raise SchemaError(
-                    f"index {x} has an overridden chain order and needs an explicit prefix value")
+            _expect(x in prefix, f"index {x} has an overridden chain order and needs an explicit prefix value")
         for r, v in enumerate(class_values):
             cls = spec.class_at(r)
             if isinstance(cls, ConstClass):
-                if not isinstance(v, int) or not 0 <= v <= cls.order - 1:
-                    raise SchemaError(
+                _expect(isinstance(v, int) and 0 <= v <= cls.order - 1,
                         f"class value {v!r} at residue {r} invalid in a {cls.order}-element chain")
             else:
-                if v not in (ZERO, TOP):
-                    raise SchemaError(
-                        f"class value {v!r} at residue {r}: unbounded classes take only ZERO/TOP")
+                _expect(v in (ZERO, TOP), f"class value {v!r} at residue {r}: unbounded classes take only ZERO/TOP")
         self.spec = spec
         self.modulus = modulus
         self.prefix = prefix
@@ -296,13 +296,13 @@ class SymbolicUltrafilter:
 
     @staticmethod
     def principal(index: int) -> "SymbolicUltrafilter":
-        if index < 0:
+        if not _all_ints([index]) or index < 0:
             raise UltrafilterError(f"principal index must be a natural number, got {index}")
         return SymbolicUltrafilter("principal", index=index)
 
     @staticmethod
     def free_on_residue(residue: int, modulus: int) -> "SymbolicUltrafilter":
-        if modulus < 1 or not 0 <= residue < modulus:
+        if not _all_ints([residue, modulus]) or modulus < 1 or not 0 <= residue < modulus:
             raise UltrafilterError(f"residue {residue} mod {modulus} is not a residue class")
         return SymbolicUltrafilter("free", residue=residue, modulus=modulus)
 
@@ -472,7 +472,7 @@ def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
              max_indices=DEFAULT_MAX_TRUNCATION) -> FiniteMVAlgebra:
     """The finite product of the chains at indices 0..count-1, built by
     `chain_product`: refused by the cap before any chain is built."""
-    if count < 0:
+    if not _all_ints([count]) or count < 0:
         raise IndexRangeError(f"truncation length must be a natural number, got {count}")
     if spec.limit is not None and count > spec.limit:
         raise IndexRangeError(f"truncation length {count} exceeds the index set")

@@ -449,6 +449,9 @@ def test_non_string_labels_exit_3(capsys):
     ("limit", SPEC_CONST_2,
      ["--element", '{"modulus": 1, "class_values": [0], "prefix": []}', "--ultrafilter", "principal:0"],
      3, "field 'prefix' must be an object"),
+    # a finite index set without a limit; a type fault (period) behind a structure fault (classes)
+    ("decide-sc", dict(SPEC_CONST_2, index_set={"kind": "finite"}), [], 3, "field 'limit' must be an integer"),
+    ("decide-sc", dict(SPEC_CONST_2, period="x", classes=5), [], 3, "field 'classes' must be a list"),
 ])
 def test_guarded_refusals_report_exactly(capsys, command, doc, extra, code, message):
     """Each input is refused by one guard, with that guard's own exit code

@@ -15,6 +15,7 @@ from mvkit.errors import (
     DecompositionError,
     InternalConsistencyError,
     MVAxiomError,
+    NotAnIdealError,
     NotCentralError,
     ResourceCapError,
     SchemaError,
@@ -119,6 +120,32 @@ def test_chain_order_and_relabeling_are_checked():
         mv.chain_algebra(1)
     with pytest.raises(ValueError, match="relabeling must be a permutation of the carrier"):
         mv.relabel(mv.chain_algebra(3), [0, 0, 1])
+
+
+L3 = mv.chain_algebra(3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mv.chain_algebra(2.5), ValueError, "chain order must be an integer, got 2.5"),
+    (lambda: mv.chain_algebra(np.int64(3)), ValueError, "chain order must be an integer, got np.int64(3)"),
+    (lambda: mv.chain_algebra(True), ValueError, "chain order must be an integer, got True"),
+    (lambda: mv.relabel(L3, [0.0, 2.0, 1.0]), ValueError, "relabeling must be a permutation of the carrier"),
+    (lambda: mv.relabel(L3, [True, False, 2]), ValueError, "relabeling must be a permutation of the carrier"),
+    (lambda: mv.make_ideal(L3, [0.7]), NotAnIdealError, "element index 0.7 out of range"),
+    (lambda: mv.make_ideal(L3, [0, True]), NotAnIdealError, "element index True out of range"),
+    (lambda: mv.is_ideal(L3, np.array([0.0])), NotAnIdealError, "element index 0.0 out of range"),
+    (lambda: mv.generated_ideal(L3, [1.5]), NotAnIdealError, "element index 1.5 out of range"),
+    (lambda: mv.interval_algebra(L3, 2.0), NotCentralError, "element index 2.0 is out of range 0..2"),
+])
+def test_finite_entry_points_refuse_non_integers(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_arrays_still_name_indices():
+    assert mv.relabel(L3, np.array([2, 1, 0])).zero == 2
+    assert mv.make_ideal(L3, np.array([0])).members == {0}
 
 
 def test_index_dtype_is_uint16_up_to_65536_elements():

@@ -37,6 +37,10 @@ def spec_const(n=2):
     return mv.IndexSpec(1, [mv.ConstClass(n)])
 
 
+def finite_const_2(limit=4):
+    return mv.IndexSpec(1, [mv.ConstClass(2)], limit=limit)
+
+
 # -- index specifications ----------------------------------------------------
 
 
@@ -61,11 +65,58 @@ def test_chain_order_laws():
     (lambda: mv.truncate(spec_const(), -1), IndexRangeError, "truncation length must be a natural number, got -1"),
     (lambda: mv.truncate(mv.IndexSpec(1, [mv.ConstClass(2)], limit=4), 5), IndexRangeError,
      "truncation length 5 exceeds the index set"),
+    # non-integer indices and type-before-range order
+    (lambda: mv.SymbolicElement(spec_const(), 1, {"0": 1}, (0,)), SchemaError, "prefix index '0' must be an integer"),
+    (lambda: mv.IndexSpec(1, [mv.ConstClass(2)], {"0": 3}), SchemaError,
+     "override index '0' must be a natural number"),
+    (lambda: mv.IndexSpec(1, [2]), SchemaError, "unknown class kind 2"),
+    # every type before any range: a zero period, a one-element chain and an
+    # override of order 1 are range faults, the float limit a type fault
+    (lambda: mv.IndexSpec(0, [mv.ConstClass(1)], {0: 1}, limit=2.5), SchemaError, "field 'limit' must be an integer"),
+    # every type before the first index is looked up (IndexRangeError, exit 2)
+    (lambda: mv.SymbolicElement(finite_const_2(), 1, {9: 0.5}, (0,)), SchemaError,
+     "prefix value for 9 must be an integer"),
+    (lambda: mv.SymbolicUltrafilter.principal(1.5), UltrafilterError, "principal index must be a natural number, got 1.5"),
+    (lambda: mv.SymbolicUltrafilter.principal(True), UltrafilterError,
+     "principal index must be a natural number, got True"),
+    (lambda: mv.SymbolicUltrafilter.free_on_residue(0.0, 2), UltrafilterError, "residue 0.0 mod 2 is not a residue class"),
+    (lambda: mv.SymbolicUltrafilter.free_on_residue(1, 2.0), UltrafilterError, "residue 1 mod 2.0 is not a residue class"),
+    (lambda: mv.SymbolicUltrafilter.free_on_residue(False, True), UltrafilterError,
+     "residue False mod True is not a residue class"),
+    (lambda: mv.truncate(spec_const(), 2.5), IndexRangeError, "truncation length must be a natural number, got 2.5"),
+    (lambda: mv.truncate(spec_const(), True), IndexRangeError, "truncation length must be a natural number, got True"),
 ])
 def test_symbolic_refusals_report_exactly(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# Each type fault the CLI reports for a full_product document or an element,
+# as a library call with the bad value in that field, and the CLI's message.
+TYPE_FAULTS = {
+    "period": (lambda v: mv.IndexSpec(v, [mv.ConstClass(2)]), lambda v: "field 'period' must be an integer"),
+    "order": (lambda v: mv.IndexSpec(1, [mv.ConstClass(v)]), lambda v: "field 'order' must be an integer"),
+    "step": (lambda v: mv.IndexSpec(1, [mv.UnboundedClass(v, 2)]), lambda v: "field 'step' must be an integer"),
+    "start": (lambda v: mv.IndexSpec(1, [mv.UnboundedClass(1, v)]), lambda v: "field 'start' must be an integer"),
+    "override value": (lambda v: mv.IndexSpec(1, [mv.ConstClass(2)], {0: v}),
+                       lambda v: "override value for 0 must be an integer"),
+    "limit": (finite_const_2, lambda v: "field 'limit' must be an integer"),
+    "modulus": (lambda v: mv.SymbolicElement(spec_const(), v, {}, (0,)), lambda v: "field 'modulus' must be an integer"),
+    "class value": (lambda v: mv.SymbolicElement(spec_const(), 1, {}, (v,)),
+                    lambda v: f"class value {v!r} must be an integer, 'zero' or 'top'"),
+    "prefix value": (lambda v: mv.SymbolicElement(spec_const(), 1, {0: v}, (0,)),
+                     lambda v: "prefix value for 0 must be an integer"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, False, "1"], ids=repr)
+@pytest.mark.parametrize("field", TYPE_FAULTS)
+def test_library_refuses_non_integers_with_the_cli_message(field, bad):
+    call, message = TYPE_FAULTS[field]
+    with pytest.raises(SchemaError) as info:
+        call(bad)
+    assert str(info.value) == message(bad)
 
 
 def test_index_spec_validation():
