@@ -317,12 +317,8 @@ def cmd_decide_sc(args, doc):
 def cmd_census(args, doc):
     spec = _require("symbolic", parse_algebra_document(doc, args.max_size), "census")
     _cap_window(spec.limit, "finite index set limit", args)
-    window = args.principal_limit
-    if window is None:
-        window = args.max_truncation
-    else:
-        _expect(window >= 0, f"--principal-limit must be >= 0, got {window}")
-        _cap_window(window, "--principal-limit", args)
+    window = args.max_truncation if args.principal_limit is None else args.principal_limit
+    _cap_window(window, "--principal-limit", args)   # a negative window is the library's to refuse
     descriptors = maximal_ideal_census(spec, principal_limit=window)
     principal = [descriptor_json(d) for d in descriptors if d.kind == "principal"]
     free = [descriptor_json(d) for d in descriptors if d.kind == "free_class"]

@@ -4,9 +4,9 @@ The index poset is every ideal under reverse inclusion (the improper ideal
 adds one forced coordinate, its trivial quotient).  Under the chain-product
 certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
 the projection onto the other coordinates and each transition a further
-projection: the system is one array of class indices, and quotient tables
-and transitions are built only when read.  The completion is A on its own
-tables: the zero ideal is node 0 and its projection the identity.
+projection: the system is the ideal lattice, and each node's classes,
+quotient table and transitions are built only when read.  The completion is
+A on its own tables: the zero ideal is node 0 and its projection the identity.
 
 Two reports cover the Boolean center (every finite algebra is regular) and
 read A's inverse system and center members only: B(A) has A's atoms, so
@@ -14,12 +14,13 @@ I -> I n B(A) is S -> S on coordinate sets, and B(completion of A) is B(A).
 One check per node: B(A)/(I n B(A)) -> B(A/I) hits exactly the central classes.
 
 No function here takes a size cap: the cap is checked once, where an
-algebra is admitted.  Every layer is bounded by A's n x n table: the system
-holds 2^k <= n key rows of n entries, and the completion shares A's tables.
+algebra is admitted.  Every layer is bounded by A's n x n table: read,
+`projections` is 2^k <= n rows of n entries; the completion shares A's tables.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -29,43 +30,42 @@ from .errors import InternalConsistencyError
 from .finite import (
     FiniteMVAlgebra,
     _certificate,
+    _frozen,
     _self_meet,
     boolean_center,
-    index_dtype,
 )
 from .ideals import (
-    _number_classes,
+    _key,
     _quotient_algebra,
+    classes,
     ideal_lattice,
 )
-
-CHUNK = 1 << 19  # entries per batch of class keys
 
 
 class _Quotients(Sequence):
     """quotients[i], the algebra A/ideals[i], built each time it is read."""
 
-    def __init__(self, algebra, projections, reps):
-        self._algebra, self._projections, self._reps = algebra, projections, reps
+    def __init__(self, algebra, ideals):
+        self._algebra, self._ideals = algebra, ideals
 
     def __len__(self):
-        return len(self._reps)
+        return len(self._ideals)
 
     def __getitem__(self, i):
-        return _quotient_algebra(self._algebra, self._projections[i], self._reps[i])
+        return _quotient_algebra(self._algebra, *classes(self._algebra, self._ideals[i]))
 
 
 class _Transitions(Mapping):
     """transitions[(i, j)] = projections[j][reps[i]] on the comparable pairs."""
 
-    def __init__(self, projections, reps, subset):
-        self._projections, self._reps, self._subset = projections, reps, subset
+    def __init__(self, algebra, ideals, subset):
+        self._algebra, self._ideals, self._subset = algebra, ideals, subset
 
     def __getitem__(self, pair):
         i, j = pair
         if min(i, j) < 0 or max(i, j) >= len(self._subset) or not self._subset[i, j]:
             raise KeyError(pair)
-        return self._projections[j][self._reps[i]]
+        return classes(self._algebra, self._ideals[j])[0][classes(self._algebra, self._ideals[i])[1]]
 
     def __iter__(self):
         return zip(*(a.tolist() for a in np.nonzero(self._subset)))
@@ -79,61 +79,53 @@ class InverseSystem:
 
     `ideals[i]` is the i-th poset node (canonical all_ideals order) and
     `subset[i, j]` says ideals[i] <= ideals[j].  `projections` is a read-only
-    k x n `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
-    (classes numbered by least member, reps[i][c] the least member of c).
+    K x n `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
+    (classes numbered by least member, reps[i][c] the least member of c);
+    both come from `ideals.classes`, one call per node, on first read.
     `quotients[i]` (O(m^2)) and `transitions[(i, j)]` (O(m), defined when
-    ideals[i] <= ideals[j], else KeyError) are built on each read and not
-    kept; these containers hold the algebra and arrays, never the system.
+    ideals[i] <= ideals[j], else KeyError) call it on each read and keep
+    nothing; these containers hold the algebra and ideals, never the system.
     """
 
-    def __init__(self, algebra, ideals, projections, reps, subset):
+    def __init__(self, algebra, ideals, subset):
         self.algebra = algebra
         self.ideals = ideals
-        self.projections = projections
-        self.reps = reps
         self.subset = subset
-        self.quotients = _Quotients(algebra, projections, reps)
-        self.transitions = _Transitions(projections, reps, subset)
+        self.quotients = _Quotients(algebra, ideals)
+        self.transitions = _Transitions(algebra, ideals, subset)
+
+    @functools.cached_property
+    def projections(self):
+        return _frozen(np.stack([classes(self.algebra, ideal)[0] for ideal in self.ideals]))
+
+    @functools.cached_property
+    def reps(self):
+        return tuple(classes(self.algebra, ideal)[1] for ideal in self.ideals)
 
     def __repr__(self):
         return f"InverseSystem({len(self.ideals)} ideals over size {self.algebra.size})"
 
 
 def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
-    """Every ideal's projection, in one batched pass.
+    """The ideal lattice as an inverse system; no class is numbered here.
 
-    Node I_S keys x by x (.) neg g_S, the projection off the coordinates S
-    (as in `ideals.classes`), g_S the join of S's atoms a_j.  The 2^k key
-    rows come from the identity by doubling, row S + 2^j = row S (.) neg a_j
-    (one gather a row), and are numbered in place by chunks of rows
-    (`_number_classes`, O(n) a row, no sort) into the 2^k x n `projections`.
-    Cost O(2^k * n) and the 2^k x n array, within the n x n table since
-    2^k <= n; no quotient table is built.
-
-    The one check, `classes`' certificate check made once per atom: x (.)
-    neg a_j must have x's digits with digit j set to 0 (O(n*k) each).  Every
-    row is a composition of these maps, so every node's keys are then the
-    certificate's projection off S, whose kernel is the lattice's I_S.  No
-    transition is checked: each keying is a homomorphism, and node j's key
-    is node i's key (.) neg g_j when ideals[i] <= ideals[j], so
-    proj_j = t_ij o proj_i: t_ij is onto, t_ii = id, t_jm o t_ij = t_im.
+    Node I_S keys x by x (.) neg g_S (`ideals.classes`), g_S the join of S's
+    atoms a_j.  The one check, `classes`' certificate check made once per
+    atom: x (.) neg a_j must have x's digits with digit j set to 0 (O(n*k)
+    each).  Node S's keying is the composition of these maps over S, as
+    neg g_S is the (.) of the neg a_j, so its keys are then the certificate's
+    projection off S, whose kernel is the lattice's I_S.  No transition is
+    checked: each keying is a homomorphism, and node j's key is node i's key
+    (.) neg g_j when ideals[i] <= ideals[j], so proj_j = t_ij o proj_i: t_ij
+    is onto, t_ii = id, t_jm o t_ij = t_im.  Cost: the lattice's, and
+    O(n*k) per atom.
     """
     lattice = ideal_lattice(algebra)
-    O, N, n = algebra.oplus_table, algebra.neg_table, algebra.size
     cert = _certificate(algebra)
-    keys = np.empty((1 << len(cert.atoms), n), dtype=index_dtype(n))
-    keys[0] = np.arange(n)
     for j, atom in enumerate(cert.atoms):
-        drop = N[O[atom][N]]   # x (.) neg a = neg(neg x (+) a)
-        if (cert.digits[drop] != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
+        if (cert.digits[_key(algebra, atom)] != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
             raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
-        keys[1 << j:2 << j] = drop[keys[:1 << j]]
-    keys, reps, step = keys[lattice.supports], [], max(1, CHUNK // n)
-    for start in range(0, len(keys), step):
-        keys[start:start + step], chunk_reps = _number_classes(keys[start:start + step])
-        reps += chunk_reps
-    keys.setflags(write=False)
-    return InverseSystem(algebra, lattice.ideals, keys, tuple(reps), lattice.subset)
+    return InverseSystem(algebra, lattice.ideals, lattice.subset)
 
 
 @dataclass
@@ -155,16 +147,16 @@ def profinite_completion(algebra: FiniteMVAlgebra) -> CompletionResult:
 
     The threads are certified rather than searched for, with no check: the
     (size, members) order puts {0}, the only one-element ideal and the least
-    node, at node 0, keyed by the identity row keys[0] = arange(n) (its
-    support is empty), which numbers to itself.  A thread x is then fixed by
-    its coordinate there, x_j = t_0j(x_0), and each (t_0j(a))_j is
-    compatible because the transitions compose; so the threads are exactly
-    these, one per a in A, in lexicographic order.  The transitions are
-    homomorphisms (proj_j = t_0j o proj_0), so the operations on threads are
-    A's own: the completion is built on A's read-only tables, with A's
-    certificate when A has one, and the canonical map is the identity,
-    tuple(range(n)).  Cost: build_inverse_system's, O(2^k * n) <= O(n^2);
-    the shared tables are not scanned again or copied.
+    node, at node 0, keyed by x (.) neg 0 = x, the identity, which numbers
+    to itself.  A thread x is then fixed by its coordinate there,
+    x_j = t_0j(x_0), and each (t_0j(a))_j is compatible because the
+    transitions compose; so the threads are exactly these, one per a in A,
+    in lexicographic order.  The transitions are homomorphisms
+    (proj_j = t_0j o proj_0), so the operations on threads are A's own: the
+    completion is built on A's read-only tables, with A's certificate when A
+    has one, and the canonical map is the identity, tuple(range(n)).  Cost:
+    build_inverse_system's, which numbers no class; the shared tables are
+    not scanned again or copied.
     """
     system = build_inverse_system(algebra)
     completion = FiniteMVAlgebra._built(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
@@ -218,21 +210,24 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra) -> CenterCorresponden
     node, is that it hits exactly the central classes ([x] is central iff
     x ^ neg x is in I_i), so it is an isomorphism; the squares commute, both
     ways round sending [c] to [emb c], since proj_j = t_ij o proj_i.  The
-    per-atom check does not imply it: digits relabeled inside one chain, 0
-    kept fixed, pass that check but name the wrong center, and only this
+    check reads keys, not numbered classes: a class is a key value, and the
+    keying is a homomorphism, so key(x ^ neg x) = key x ^ neg key x and the
+    check per class is hit[key x] == (key(x ^ neg x) == key 0) for every x.
+    The per-atom check does not imply it: digits relabeled inside one chain,
+    0 kept fixed, pass that check but name the wrong center, and only this
     check sees it.
     """
     system = build_inverse_system(algebra)   # checks the certificate boolean_center reads
     emb = np.asarray(boolean_center(algebra)[0])
     self_meet = _self_meet(algebra)
 
-    def theta_is_iso(proj, reps):
-        hit = np.zeros(len(reps), dtype=bool)
-        hit[proj[emb]] = True
-        central = proj[self_meet[reps]] == proj[algebra.zero]
-        return (hit == central).all()
+    def theta_is_iso(ideal):
+        key = _key(algebra, ideal.generator)
+        hit = np.zeros(algebra.size, dtype=bool)
+        hit[key[emb]] = True
+        return (hit[key] == (key[self_meet] == key[algebra.zero])).all()
 
-    isos_ok = bool(all(map(theta_is_iso, system.projections, system.reps)))
+    isos_ok = bool(all(map(theta_is_iso, system.ideals)))
     k = len(system.ideals)   # psi is S -> S: its five flags hold and the counts agree
     return CenterCorrespondenceReport(k, k, True, True, True, True, True, isos_ok, isos_ok)
 

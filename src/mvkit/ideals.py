@@ -237,32 +237,30 @@ def classify(algebra: FiniteMVAlgebra, ideal: Ideal) -> IdealClassification:
     return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
 
 
-def _number_classes(keys):
-    """Classes of equal key per row of `keys` (c x n, entries below n):
-    class_of[r, x] numbers x's class in row r by least member, reps[r] lists
-    the least members.  A flattened scatter-min (`minimum.at`; a plain
-    scatter leaves repeated indices' winner unspecified) finds them, a cumsum
-    numbers them: O(c*n), no sort."""
-    c, n = keys.shape
-    flat = np.arange(c * n, dtype=np.int32)
-    slot = (keys + flat[::n, None]).ravel()       # row r's keys moved to r*n + key
-    least = np.full(c * n, c * n, dtype=np.int32)
-    np.minimum.at(least, slot, flat)
-    rep = least[slot]
-    is_rep = rep == flat
-    number = np.cumsum(is_rep, dtype=np.int32)
-    # x = 0 is the least member of its class, so it opens every row's count
-    class_of = number[rep].reshape(c, n) - number[::n, None]
-    ends = number[n - 1::n].tolist()
-    found = np.flatnonzero(is_rep) % n
-    return class_of.astype(index_dtype(n)), [_frozen(found[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+def _key(algebra: FiniteMVAlgebra, g: int) -> np.ndarray:
+    """x (.) neg g = neg(neg x (+) g) for every x, its projection onto [0, neg g]."""
+    return algebra.neg_table[algebra.oplus_table[g][algebra.neg_table]]
+
+
+def _number_classes(key):
+    """Classes of equal key (entries below n), numbered by least member:
+    (class_of, reps).  A scatter-min (`minimum.at`; a plain scatter leaves
+    repeated indices' winner unspecified) finds them, a cumsum numbers them:
+    O(n), no sort."""
+    n = len(key)
+    least = np.full(n, n, dtype=np.int32)
+    np.minimum.at(least, key, np.arange(n, dtype=np.int32))
+    rep = least[key]
+    is_rep = rep == np.arange(n)
+    class_of = np.cumsum(is_rep, dtype=np.int32)[rep] - 1   # x = 0, its class's least member, is class 0
+    return _frozen(class_of.astype(index_dtype(n))), _frozen(np.flatnonzero(is_rep))
 
 
 def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
     """The classes of the congruence d(x, y) in I as read-only arrays:
     class_of[x], numbered by least member, and reps[c], those members.  With
     g the generator of I (the ideal's, else `_generator`'s, which proves I an
-    ideal), x is keyed by x (.) neg g, its projection onto [0, neg g].
+    ideal), x is keyed by `_key`, x (.) neg g, its projection onto [0, neg g].
 
     The one check: the key's digits are x's with S, g's nonzero coordinates,
     set to 0.  The certificate being an isomorphism, the keying is then the
@@ -276,13 +274,11 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
         g = _generator(algebra, _member_mask(algebra, ideal.members))
         if g is None:
             raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    O, N = algebra.oplus_table, algebra.neg_table
-    key = N[O[g][N]]
+    key = _key(algebra, g)
     digits = _certificate(algebra).digits
     if (digits[key] != digits * (digits[g] == 0)).any():
         raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
-    class_of, reps = _number_classes(key[None, :])
-    return _frozen(class_of[0]), reps[0]
+    return _number_classes(key)
 
 
 def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:

@@ -115,8 +115,8 @@ class IndexSpec:
         return self.classes[x % self.period]
 
     def order_at(self, x: int) -> int:
-        if x < 0 or (self.limit is not None and x >= self.limit):
-            raise IndexRangeError(f"index {x} outside the index set")
+        if not _all_ints([x]) or x < 0 or (self.limit is not None and x >= self.limit):
+            raise IndexRangeError(f"index {x!r} outside the index set")
         if x in self.prefix_overrides:
             return self.prefix_overrides[x]
         return self.classes[x % self.period].order_at(x // self.period)
@@ -361,13 +361,6 @@ class MaximalIdealDescriptor:
     modulus: int | None = None
 
 
-def _default_window(spec: IndexSpec) -> int:
-    window = 2 * spec.period
-    if spec.prefix_overrides:
-        window = max(window, max(spec.prefix_overrides) + 1)
-    return window
-
-
 def maximal_ideal_census(spec: IndexSpec, principal_limit=None) -> tuple:
     """Descriptors for the definable maximal ideals.
 
@@ -375,12 +368,14 @@ def maximal_ideal_census(spec: IndexSpec, principal_limit=None) -> tuple:
     else.  Infinite index sets additionally get one free-class descriptor per
     residue class modulo the period; their principal family is infinite, so
     only the indices below `principal_limit` (default: a window covering all
-    overrides plus two periods) are materialized.
+    overrides plus two periods) are materialized; it must be an int >= 0,
+    with the CLI's message, on any index set.
     """
-    if spec.limit is not None:
-        window = spec.limit
-    else:
-        window = principal_limit if principal_limit is not None else _default_window(spec)
+    if principal_limit is None:
+        principal_limit = max(2 * spec.period, max(spec.prefix_overrides, default=0) + 1)
+    _expect(_all_ints([principal_limit]) and principal_limit >= 0,
+            f"--principal-limit must be >= 0, got {principal_limit}")
+    window = principal_limit if spec.limit is None else spec.limit
     out = [
         MaximalIdealDescriptor("principal", rank=spec.order_at(x), principal=True, index=x)
         for x in range(window)
@@ -484,6 +479,8 @@ def truncate(spec: IndexSpec, count: int, max_size=DEFAULT_MAX_SIZE,
 
 def truncate_element(f: SymbolicElement, count: int) -> int:
     """Carrier index of the truncated element inside truncate(spec, count)."""
+    if not _all_ints([count]) or count < 0:
+        raise IndexRangeError(f"truncation length must be a natural number, got {count}")
     index = 0
     for x in range(count):
         index = index * f.spec.order_at(x) + f.numerator_at(x)

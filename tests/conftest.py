@@ -633,7 +633,7 @@ def threads_by_search(system):
             if system.subset[j, i]:
                 downs[i].append(j)
 
-    transitions = system.transitions
+    transitions = dict(system.transitions)   # each map read once; the search reads them often
     sizes = [q.size for q in system.quotients]
     assign = [-1] * k
     threads = []

@@ -302,6 +302,7 @@ def test_algebra_is_freed_without_the_cycle_collector():
         system = mv.build_inverse_system(alg)
         system.quotients[0]
         system.transitions[(0, len(system.ideals) - 1)]
+        system.projections, system.reps
         mv.profinite_completion(alg)
         assert "ideal_lattice" in alg._cache
         ref = weakref.ref(alg)
@@ -309,6 +310,18 @@ def test_algebra_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_node_classes_are_numbered_on_first_read_only():
+    """Building the system, alone or inside the completion, numbers no
+    class: `projections` and `reps` come from `ideals.classes` on first read
+    and are kept, read-only."""
+    A = mv.product([L(2), L(3), L(2)])
+    for system in (mv.build_inverse_system(A), mv.profinite_completion(A).system):
+        assert "projections" not in vars(system) and "reps" not in vars(system)
+        first = system.projections
+        assert system.projections is first and not first.flags.writeable
+        assert system.reps is system.reps and not any(r.flags.writeable for r in system.reps)
 
 
 def test_inverse_system_rejects_a_corrupted_certificate():

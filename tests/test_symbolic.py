@@ -85,6 +85,17 @@ def test_chain_order_laws():
      "residue False mod True is not a residue class"),
     (lambda: mv.truncate(spec_const(), 2.5), IndexRangeError, "truncation length must be a natural number, got 2.5"),
     (lambda: mv.truncate(spec_const(), True), IndexRangeError, "truncation length must be a natural number, got True"),
+    # the census window, an index and a truncation length are checked by the library
+    (lambda: mv.maximal_ideal_census(spec_const(), principal_limit=2.5), SchemaError,
+     "--principal-limit must be >= 0, got 2.5"),
+    (lambda: mv.maximal_ideal_census(spec_const(), principal_limit=True), SchemaError,
+     "--principal-limit must be >= 0, got True"),
+    (lambda: mv.maximal_ideal_census(spec_const(), principal_limit=-3), SchemaError,
+     "--principal-limit must be >= 0, got -3"),
+    (lambda: spec_const().order_at(1.5), IndexRangeError, "index 1.5 outside the index set"),
+    (lambda: mv.zero_element(spec_const()).value_at(True), IndexRangeError, "index True outside the index set"),
+    (lambda: mv.truncate_element(mv.zero_element(spec_const()), 2.5), IndexRangeError,
+     "truncation length must be a natural number, got 2.5"),
 ])
 def test_symbolic_refusals_report_exactly(call, error, message):
     with pytest.raises(error) as info:
