@@ -95,12 +95,12 @@ class InverseSystem:
         self.transitions = _Transitions(algebra, ideals, subset)
 
     @functools.cached_property
-    def projections(self):
-        return _frozen(np.stack([classes(self.algebra, ideal)[0] for ideal in self.ideals]))
+    def _numbering(self):   # (projections, reps), shared by both
+        class_of, reps = zip(*(classes(self.algebra, ideal) for ideal in self.ideals))
+        return _frozen(np.stack(class_of)), reps
 
-    @functools.cached_property
-    def reps(self):
-        return tuple(classes(self.algebra, ideal)[1] for ideal in self.ideals)
+    projections = property(lambda self: self._numbering[0])
+    reps = property(lambda self: self._numbering[1])
 
     def __repr__(self):
         return f"InverseSystem({len(self.ideals)} ideals over size {self.algebra.size})"
@@ -123,7 +123,7 @@ def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
     lattice = ideal_lattice(algebra)
     cert = _certificate(algebra)
     for j, atom in enumerate(cert.atoms):
-        if (cert.digits[_key(algebra, atom)] != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
+        if (cert.digits.take(_key(algebra, atom), axis=0) != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
             raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
     return InverseSystem(algebra, lattice.ideals, lattice.subset)
 
@@ -219,13 +219,13 @@ def verify_center_correspondence(algebra: FiniteMVAlgebra) -> CenterCorresponden
     """
     system = build_inverse_system(algebra)   # checks the certificate boolean_center reads
     emb = np.asarray(boolean_center(algebra)[0])
-    self_meet = _self_meet(algebra)
+    self_meet = _self_meet(algebra).astype(np.intp)
 
     def theta_is_iso(ideal):
         key = _key(algebra, ideal.generator)
         hit = np.zeros(algebra.size, dtype=bool)
-        hit[key[emb]] = True
-        return (hit[key] == (key[self_meet] == key[algebra.zero])).all()
+        hit[key.take(emb)] = True
+        return (hit.take(key) == (key.take(self_meet) == key[algebra.zero])).all()
 
     isos_ok = bool(all(map(theta_is_iso, system.ideals)))
     k = len(system.ideals)   # psi is S -> S: its five flags hold and the counts agree

@@ -20,6 +20,10 @@ replaced are oracles in the test suite.
 No layer here takes a size cap: the cap is checked once, where tables or
 chain orders become an algebra, and each layer is bounded by the n x n
 table it reads (`ideal_lattice` states the lattice's bounds).
+
+Tables narrow, indices intp: the tables stay `index_dtype`, and an index
+array made here (a class key) is intp from the start, as numpy casts any
+other index dtype inside every gather.
 """
 
 from __future__ import annotations
@@ -238,22 +242,22 @@ def classify(algebra: FiniteMVAlgebra, ideal: Ideal) -> IdealClassification:
 
 
 def _key(algebra: FiniteMVAlgebra, g: int) -> np.ndarray:
-    """x (.) neg g = neg(neg x (+) g) for every x, its projection onto [0, neg g]."""
-    return algebra.neg_table[algebra.oplus_table[g][algebra.neg_table]]
+    """x (.) neg g = neg(neg x (+) g) for every x, as intp: its projection onto [0, neg g]."""
+    return algebra.neg_table.take(algebra.oplus_table[g].take(algebra.neg_table)).astype(np.intp)
 
 
 def _number_classes(key):
-    """Classes of equal key (entries below n), numbered by least member:
-    (class_of, reps).  A scatter-min (`minimum.at`; a plain scatter leaves
-    repeated indices' winner unspecified) finds them, a cumsum numbers them:
-    O(n), no sort."""
-    n = len(key)
-    least = np.full(n, n, dtype=np.int32)
-    np.minimum.at(least, key, np.arange(n, dtype=np.int32))
-    rep = least[key]
-    is_rep = rep == np.arange(n)
-    class_of = np.cumsum(is_rep, dtype=np.int32)[rep] - 1   # x = 0, its class's least member, is class 0
-    return _frozen(class_of.astype(index_dtype(n))), _frozen(np.flatnonzero(is_rep))
+    """Classes of equal key (entries below n) numbered by least member,
+    (class_of, reps): a scatter-min finds them (`minimum.at`; a plain scatter
+    leaves a repeated index's winner unspecified), a scatter numbers them, O(n)."""
+    n, x = len(key), np.arange(len(key), dtype=np.intp)
+    least = np.full(n, n, dtype=np.intp)
+    np.minimum.at(least, key, x)
+    rep = least.take(key)
+    reps = np.flatnonzero(rep == x)
+    number = np.empty(n, dtype=np.intp)
+    number[reps] = np.arange(len(reps))   # x = 0, its class's least member, is class 0
+    return _frozen(number.take(rep).astype(index_dtype(n))), _frozen(reps)
 
 
 def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
@@ -276,7 +280,7 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
             raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
     key = _key(algebra, g)
     digits = _certificate(algebra).digits
-    if (digits[key] != digits * (digits[g] == 0)).any():
+    if (digits.take(key, axis=0) != digits * (digits[g] == 0)).any():
         raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
     return _number_classes(key)
 
@@ -296,7 +300,7 @@ def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgeb
         outside = outside[np.argsort(atom_class[outside])]
         result._cache["decomposition"] = Decomposition(
             tuple(atom_class[outside].tolist()), tuple(cert.chain_orders[i] for i in outside),
-            _frozen(cert.digits[np.ix_(reps, outside)]))
+            _frozen(cert.digits.take(reps, axis=0).take(outside, axis=1)))
     return result
 
 

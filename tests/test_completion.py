@@ -108,6 +108,7 @@ def test_quotients_carry_the_decompose_certificate(family):
                     continue
                 assert (cert.atoms, cert.chain_orders, cert.iso) == \
                     certificate_by_revalidation(quot), (combo, ideal)
+                assert cert.digits.flags.c_contiguous and not cert.digits.flags.writeable
             completion = mv.profinite_completion(A).completion
             cert = completion._cache["decomposition"]
             assert (cert.atoms, cert.chain_orders, cert.iso) == \
@@ -322,6 +323,16 @@ def test_node_classes_are_numbered_on_first_read_only():
         first = system.projections
         assert system.projections is first and not first.flags.writeable
         assert system.reps is system.reps and not any(r.flags.writeable for r in system.reps)
+
+
+def test_projections_and_reps_share_one_numbering(monkeypatch):
+    """Reading both `projections` and `reps` numbers each node once."""
+    calls = []
+    counted = mv.completion.classes
+    monkeypatch.setattr(mv.completion, "classes", lambda *args: calls.append(1) or counted(*args))
+    system = mv.build_inverse_system(mv.product([L(3), L(2), L(4)]))
+    system.projections, system.reps
+    assert len(calls) == len(system.ideals) == 8
 
 
 def test_inverse_system_rejects_a_corrupted_certificate():

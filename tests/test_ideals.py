@@ -374,7 +374,8 @@ def test_certificate_readers_match_oracles():
     """quotient and maximal_decomposition read off a product's composed
     certificate agree with the distance-table and quotient oracles."""
     rng = random.Random(83)
-    for orders in ([2] * 8, [3, 3, 3], [4, 2, 3], [5, 5], [2, 2, 3, 3], [4, 4, 4], [2, 5, 2, 3]):
+    for orders in ([2] * 8, [3, 3, 3], [4, 2, 3], [5, 5], [2, 2, 3, 3], [4, 4, 4], [2, 5, 2, 3],
+                   [2, 3, 4, 5, 6], [2, 2, 2, 4, 2, 6, 2]):    # the last two: cap's n = 720 and 768
         A = mv.product([L(n) for n in orders])
         assert "decomposition" in A._cache, orders
         for maximal in mv.maximal_decomposition(A, mv.zero_ideal(A)):
@@ -430,11 +431,18 @@ def test_ideal_lattice_matches_center_oracle(family):
 def test_classes_match_the_checked_oracle(family):
     """`classes` equals the sorted numbering, the partition passes the three
     checks the certificate check implies, and a caller's `Ideal` (no
-    generator) gets the same classes as the lattice's."""
+    generator) gets the same classes as the lattice's.  Besides the family,
+    the maximal ideals of a shuffled n = 720 product, the size the cap
+    benchmark quotients at."""
     rng = random.Random(97)
+    cases = []
     for combo, algebra in family:
         A = shuffled(algebra, rng)
-        for ideal in mv.all_ideals(A):
+        cases.append((combo, A, mv.all_ideals(A)))
+    big = shuffled(mv.product([L(n) for n in (2, 3, 4, 5, 6)]), rng)
+    cases.append(((2, 3, 4, 5, 6), big, mv.maximal_decomposition(big, mv.zero_ideal(big))))
+    for combo, A, ideals in cases:
+        for ideal in ideals:
             class_of, reps = mv.ideals.classes(A, ideal)
             want_class_of, want_reps = classes_by_unique(A, ideal)
             assert class_of.tolist() == want_class_of.tolist() and reps.tolist() == want_reps.tolist()
