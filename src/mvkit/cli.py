@@ -67,11 +67,10 @@ SCHEMA_VERSION = "1"
 def _index_keyed(doc, key, what):
     """doc[key] (default {}), an object keyed by ASCII digit strings, as {index: value}."""
     mapping = doc.get(key, {})
-    _expect(isinstance(mapping, dict), f"field {key!r} must be an object")
+    _expect(isinstance(mapping, dict), "field {!r} must be an object", key)
     for k in mapping:
         # str.isdigit alone also admits "²", which int() rejects
-        _expect(isinstance(k, str) and k.isascii() and k.isdigit(),
-                f"{what} key {k!r} must be a digit string")
+        _expect(isinstance(k, str) and k.isascii() and k.isdigit(), "{} key {!r} must be a digit string", what, k)
     return {int(k): value for k, value in mapping.items()}
 
 
@@ -259,8 +258,7 @@ def cmd_ideals(args, doc):
 def cmd_quotient(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "quotient")
     members = _json(args.ideal, "--ideal must be a JSON list of element indices")
-    _expect(isinstance(members, list) and _all_ints(members),
-            "--ideal must be a JSON list of element indices")
+    _expect(isinstance(members, list) and _all_ints(members), "--ideal must be a JSON list of element indices")
     ideal = make_ideal(algebra, members)
     quot, projection = quotient(algebra, ideal)
     return {
@@ -561,7 +559,7 @@ def run(argv=None) -> int:
     report = {"version": SCHEMA_VERSION, "command": args.command}
     try:
         for flag, cap in (("--max-size", args.max_size), ("--max-truncation", args.max_truncation)):
-            _expect(cap >= 0, f"{flag} must be >= 0, got {cap}")
+            _expect(cap >= 0, "{} must be >= 0, got {}", flag, cap)
         doc = _read_document(args.document)
         payload, code = HANDLERS[args.command](args, doc)
         report["result"] = payload

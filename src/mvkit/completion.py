@@ -26,46 +26,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
-from .finite import (
-    FiniteMVAlgebra,
-    _certificate,
-    _frozen,
-    _self_meet,
-    boolean_center,
-)
-from .ideals import (
-    _key,
-    _quotient_algebra,
-    classes,
-    ideal_lattice,
-)
+from .finite import FiniteMVAlgebra, _certificate, _frozen, _self_meet, boolean_center
+from .ideals import _checked_key, _key, _quotient_algebra, classes, ideal_lattice
+
+
+class _Nodes(dict):
+    """nodes[i] = `classes` of ideals[i], computed on first read and kept: the
+    one memo of the system's readers.  It holds the algebra, never the system."""
+
+    def __init__(self, algebra, ideals):   # dict.__new__ made the empty memo
+        self.algebra, self.ideals = algebra, ideals
+
+    def __missing__(self, i):
+        return self.setdefault(i, classes(self.algebra, self.ideals[i]))
 
 
 class _Quotients(Sequence):
     """quotients[i], the algebra A/ideals[i], built each time it is read."""
 
-    def __init__(self, algebra, ideals):
-        self._algebra, self._ideals = algebra, ideals
+    def __init__(self, nodes):
+        self._nodes = nodes
 
     def __len__(self):
-        return len(self._ideals)
+        return len(self._nodes.ideals)
 
     def __getitem__(self, i):
-        return _quotient_algebra(self._algebra, *classes(self._algebra, self._ideals[i]))
+        return _quotient_algebra(self._nodes.algebra, *self._nodes[range(len(self))[i]])   # one key per node
 
 
 class _Transitions(Mapping):
     """transitions[(i, j)] = projections[j][reps[i]] on the comparable pairs."""
 
-    def __init__(self, algebra, ideals, subset):
-        self._algebra, self._ideals, self._subset = algebra, ideals, subset
+    def __init__(self, nodes, subset):
+        self._nodes, self._subset = nodes, subset
 
     def __getitem__(self, pair):
         i, j = pair
         if min(i, j) < 0 or max(i, j) >= len(self._subset) or not self._subset[i, j]:
             raise KeyError(pair)
-        return classes(self._algebra, self._ideals[j])[0][classes(self._algebra, self._ideals[i])[1]]
+        return self._nodes[j][0][self._nodes[i][1]]
 
     def __iter__(self):
         return zip(*(a.tolist() for a in np.nonzero(self._subset)))
@@ -80,24 +79,24 @@ class InverseSystem:
     `ideals[i]` is the i-th poset node (canonical all_ideals order) and
     `subset[i, j]` says ideals[i] <= ideals[j].  `projections` is a read-only
     K x n `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
-    (classes numbered by least member, reps[i][c] the least member of c);
-    both come from `ideals.classes`, one call per node, on first read.
-    `quotients[i]` (O(m^2)) and `transitions[(i, j)]` (O(m), defined when
-    ideals[i] <= ideals[j], else KeyError) call it on each read and keep
-    nothing; these containers hold the algebra and ideals, never the system.
+    (classes numbered by least member, reps[i][c] the least member of c).
+    All readers share one memo of `ideals.classes`, called once per node on
+    first read; `quotients[i]` builds its O(m^2) algebra on each read, and
+    `transitions[(i, j)]` is O(m), defined when ideals[i] <= ideals[j], else
+    KeyError.  Memo and containers hold the algebra, never the system.
     """
 
     def __init__(self, algebra, ideals, subset):
-        self.algebra = algebra
-        self.ideals = ideals
-        self.subset = subset
-        self.quotients = _Quotients(algebra, ideals)
-        self.transitions = _Transitions(algebra, ideals, subset)
+        self.algebra, self.ideals, self.subset = algebra, ideals, subset
+        self._nodes = _Nodes(algebra, ideals)
+        self.quotients, self.transitions = _Quotients(self._nodes), _Transitions(self._nodes, subset)
 
     @functools.cached_property
     def _numbering(self):   # (projections, reps), shared by both
-        class_of, reps = zip(*(classes(self.algebra, ideal) for ideal in self.ideals))
-        return _frozen(np.stack(class_of)), reps
+        class_of, reps = zip(*map(self._nodes.__getitem__, range(len(self.ideals))))
+        projections = _frozen(np.stack(class_of))
+        self._nodes.update(enumerate(zip(projections, reps)))   # the memo keeps rows, not copies
+        return projections, reps
 
     projections = property(lambda self: self._numbering[0])
     reps = property(lambda self: self._numbering[1])
@@ -121,10 +120,9 @@ def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
     O(n*k) per atom.
     """
     lattice = ideal_lattice(algebra)
-    cert = _certificate(algebra)
-    for j, atom in enumerate(cert.atoms):
-        if (cert.digits.take(_key(algebra, atom), axis=0) != cert.digits * (np.arange(len(cert.atoms)) != j)).any():
-            raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
+    atoms = _certificate(algebra).atoms
+    for j, atom in enumerate(atoms):
+        _checked_key(algebra, atom, [i for i in range(len(atoms)) if i != j])
     return InverseSystem(algebra, lattice.ideals, lattice.subset)
 
 

@@ -59,9 +59,9 @@ def index_dtype(n: int):
     return np.uint16 if n <= 65536 else np.int32
 
 
-def _expect(cond, message):
+def _expect(cond, message, *args):   # formats the message only on refusal
     if not cond:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args))
 
 
 def _all_ints(values) -> bool:
@@ -154,7 +154,7 @@ def _admitted(size, zero, oplus, neg, labels, max_size) -> FiniteMVAlgebra:
     unnarrowed tables, so no cast wraps an entry into range, entries past
     int64, the zero index and each entry's range."""
     for key, value in (("size", size), ("zero", zero)):
-        _expect(_all_ints([value]), f"field {key!r} must be an integer")
+        _expect(_all_ints([value]), "field {!r} must be an integer", key)
     array = isinstance(oplus, np.ndarray)
     _expect(oplus.ndim == 2 if array else isinstance(oplus, list) and all(isinstance(r, list) for r in oplus),
             "field 'oplus' must be a list of rows")
@@ -162,14 +162,14 @@ def _admitted(size, zero, oplus, neg, labels, max_size) -> FiniteMVAlgebra:
             "field 'oplus' must contain integers")
     _expect(neg.ndim == 1 and neg.dtype.kind in "iu" if isinstance(neg, np.ndarray)
             else isinstance(neg, list) and _all_ints(neg), "field 'neg' must be a list of integers")
-    _expect(size >= 1, f"carrier size must be >= 1, got {size}")
+    _expect(size >= 1, "carrier size must be >= 1, got {}", size)
     _expect(len(oplus) == size and (oplus.shape[1] == size if array else all(len(r) == size for r in oplus)),
-            f"field 'oplus' must be a {size}x{size} matrix")
-    _expect(len(neg) == size, f"field 'neg' must have {size} entries")
+            "field 'oplus' must be a {}x{} matrix", size, size)
+    _expect(len(neg) == size, "field 'neg' must have {} entries", size)
     if labels is not None:
         _expect(isinstance(labels, (list, tuple)) and len(labels) == size
                 and all(isinstance(s, str) for s in labels),
-                f"field 'labels' must be a list of {size} strings")
+                "field 'labels' must be a list of {} strings", size)
         labels = tuple(labels)
     capped_size([size], max_size)
     tables = {"oplus": oplus, "neg": neg}
@@ -178,10 +178,10 @@ def _admitted(size, zero, oplus, neg, labels, max_size) -> FiniteMVAlgebra:
             tables[what] = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=np.int64)
         except OverflowError:
             raise SchemaError(f"{what} table contains out-of-range indices") from None
-    _expect(0 <= zero < size, f"zero index {zero} out of range for size {size}")
+    _expect(0 <= zero < size, "zero index {} out of range for size {}", zero, size)
     for what, table in tables.items():
         _expect(table.max() < size and (table.dtype.kind == "u" or table.min() >= 0),
-                f"{what} table contains out-of-range indices")
+                "{} table contains out-of-range indices", what)
     return FiniteMVAlgebra._built(size, zero, tables["oplus"], tables["neg"], labels)
 
 

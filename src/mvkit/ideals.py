@@ -33,14 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError, NotAnIdealError, PreconditionError
-from .finite import (
-    Decomposition,
-    FiniteMVAlgebra,
-    _all_ints,
-    _certificate,
-    _frozen,
-    index_dtype,
-)
+from .finite import Decomposition, FiniteMVAlgebra, _all_ints, _certificate, _frozen, index_dtype
 
 
 @dataclass(frozen=True)
@@ -246,18 +239,31 @@ def _key(algebra: FiniteMVAlgebra, g: int) -> np.ndarray:
     return algebra.neg_table.take(algebra.oplus_table[g].take(algebra.neg_table)).astype(np.intp)
 
 
+def _checked_key(algebra: FiniteMVAlgebra, g: int, kept) -> np.ndarray:
+    """`_key` of g, checked in O(n*k): its n x k digit rows, less x's in the
+    `kept` columns (indices, one in-place subtraction each), must be zero."""
+    key, digits = _key(algebra, g), _certificate(algebra).digits
+    taken = digits.take(key, axis=0)
+    for j in kept:
+        taken[:, j] -= digits[:, j]
+    if np.count_nonzero(taken):
+        raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
+    return key
+
+
 def _number_classes(key):
-    """Classes of equal key (entries below n) numbered by least member,
-    (class_of, reps): a scatter-min finds them (`minimum.at`; a plain scatter
-    leaves a repeated index's winner unspecified), a scatter numbers them, O(n)."""
-    n, x = len(key), np.arange(len(key), dtype=np.intp)
-    least = np.full(n, n, dtype=np.intp)
+    """Classes of equal intp key (entries below n) numbered by least member,
+    (class_of, reps), O(n): a scatter-min by key finds the least members
+    (`minimum.at`; a plain scatter leaves a repeated index's winner unspecified)
+    and numbers them in the same buffer.  It allocates four n-entry
+    `index_dtype` arrays and one bool, and reads no cache."""
+    n, dtype = len(key), index_dtype(len(key))
+    x, least = np.arange(n, dtype=dtype), np.full(n, n - 1, dtype=dtype)   # no member is above n - 1
     np.minimum.at(least, key, x)
     rep = least.take(key)
-    reps = np.flatnonzero(rep == x)
-    number = np.empty(n, dtype=np.intp)
-    number[reps] = np.arange(len(reps))   # x = 0, its class's least member, is class 0
-    return _frozen(number.take(rep).astype(index_dtype(n))), _frozen(reps)
+    reps = (rep == x).nonzero()[0]
+    least[reps] = x[:len(reps)]   # by member now; x = 0, its class's least member, is class 0
+    return _frozen(least.take(rep)), _frozen(reps)
 
 
 def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
@@ -266,41 +272,39 @@ def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
     g the generator of I (the ideal's, else `_generator`'s, which proves I an
     ideal), x is keyed by `_key`, x (.) neg g, its projection onto [0, neg g].
 
-    The one check: the key's digits are x's with S, g's nonzero coordinates,
-    set to 0.  The certificate being an isomorphism, the keying is then the
-    projection off S, a homomorphism, which implies the congruence, induced
-    negation and kernel checks this used to make: the kernel, digits 0 off S,
-    is the down-set of g, I; negation respects keys; and x and rep x share a
-    key, so d(x, rep x) has key 0, in I.  Cost O(n*k); no sort, no table.
+    The one check (`_checked_key`): the key's digits are x's with S, g's
+    nonzero coordinates, set to 0.  The certificate being an isomorphism,
+    the keying is then the projection off S, a homomorphism, which implies
+    the congruence, induced negation and kernel checks this used to make:
+    the kernel, digits 0 off S, is the down-set of g, I; negation respects
+    keys; and x and rep x share a key, so d(x, rep x) has key 0, in I.  Cost
+    O(n*k), no sort, no table: it allocates the key (two n-entry gathers and
+    an intp copy), its n x k digit rows and `_number_classes`' arrays, and
+    reads no per-algebra cache but the certificate.
     """
     g = ideal.generator
     if g is None:
         g = _generator(algebra, _member_mask(algebra, ideal.members))
         if g is None:
             raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    key = _key(algebra, g)
-    digits = _certificate(algebra).digits
-    if (digits.take(key, axis=0) != digits * (digits[g] == 0)).any():
-        raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
-    return _number_classes(key)
+    kept = [j for j, digit in enumerate(_certificate(algebra).digits[g].tolist()) if not digit]
+    return _number_classes(_checked_key(algebra, g, kept))
 
 
 def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:
     """The quotient on `classes`' output, O(m^2) for m classes, with its
-    certificate: the classes of the atoms outside the ideal (ascending), their
-    chain orders and the representatives' digits there (O(m*k))."""
+    certificate: the atoms' classes outside the ideal (sorted in Python), their
+    chain orders and the representatives' digits there (O(m*k)).  It allocates
+    nothing of size n and reads no per-algebra cache but the certificate."""
     O, N = algebra.oplus_table, algebra.neg_table
-    labels = None if algebra.labels is None else tuple(f"[{algebra.labels[r]}]" for r in reps)
-    zero = int(class_of[algebra.zero])
-    result = FiniteMVAlgebra._built(len(reps), zero, class_of[O[reps[:, None], reps]], class_of[N[reps]], labels)
+    labels = None if algebra.labels is None else tuple(f"[{algebra.labels[r]}]" for r in reps.tolist())
+    oplus, neg = class_of.take(O[reps[:, None], reps]), class_of.take(N.take(reps))
+    result = FiniteMVAlgebra._built(len(reps), class_of.item(algebra.zero), oplus, neg, labels)
     if len(reps) > 1:
         cert = _certificate(algebra)
-        atom_class = class_of[list(cert.atoms)]
-        outside = np.flatnonzero(atom_class != zero)
-        outside = outside[np.argsort(atom_class[outside])]
-        result._cache["decomposition"] = Decomposition(
-            tuple(atom_class[outside].tolist()), tuple(cert.chain_orders[i] for i in outside),
-            _frozen(cert.digits.take(reps, axis=0).take(outside, axis=1)))
+        atoms, kept = zip(*sorted((c, i) for i, c in enumerate(map(class_of.item, cert.atoms)) if c != result.zero))
+        digits = _frozen(cert.digits.take(reps, axis=0).take(kept, axis=1))
+        result._cache["decomposition"] = Decomposition(atoms, tuple(cert.chain_orders[i] for i in kept), digits)
     return result
 
 

@@ -80,28 +80,28 @@ class IndexSpec:
         overrides = dict(prefix_overrides or {})
         _expect(_all_ints([period]), "field 'period' must be an integer")
         for cls in classes:
-            _expect(isinstance(cls, (ConstClass, UnboundedClass)), f"unknown class kind {cls!r}")
+            _expect(isinstance(cls, (ConstClass, UnboundedClass)), "unknown class kind {!r}", cls)
             for name, value in vars(cls).items():
-                _expect(_all_ints([value]), f"field {name!r} must be an integer")
+                _expect(_all_ints([value]), "field {!r} must be an integer", name)
         for x, order in overrides.items():
-            _expect(_all_ints([x]), f"override index {x!r} must be a natural number")
-            _expect(_all_ints([order]), f"override value for {x} must be an integer")
+            _expect(_all_ints([x]), "override index {!r} must be a natural number", x)
+            _expect(_all_ints([order]), "override value for {} must be an integer", x)
         _expect(limit is None or _all_ints([limit]), "field 'limit' must be an integer")
-        _expect(period >= 1, f"period must be a positive integer, got {period!r}")
-        _expect(len(classes) == period, f"{len(classes)} classes for period {period}")
+        _expect(period >= 1, "period must be a positive integer, got {!r}", period)
+        _expect(len(classes) == period, "{} classes for period {}", len(classes), period)
         for cls in classes:
             if isinstance(cls, ConstClass):
-                _expect(cls.order >= 2, f"constant class order must be >= 2, got {cls.order}")
+                _expect(cls.order >= 2, "constant class order must be >= 2, got {}", cls.order)
             else:
                 _expect(cls.step >= 1 and cls.start >= 2,
-                        f"unbounded class needs step >= 1 and start >= 2, got {cls!r}")
+                        "unbounded class needs step >= 1 and start >= 2, got {!r}", cls)
         for x, order in overrides.items():
-            _expect(x >= 0, f"override index {x!r} must be a natural number")
-            _expect(order >= 2, f"override order at {x} must be >= 2, got {order!r}")
+            _expect(x >= 0, "override index {!r} must be a natural number", x)
+            _expect(order >= 2, "override order at {} must be >= 2, got {!r}", x, order)
         if limit is not None:
-            _expect(limit >= 0, f"index-set limit must be a natural number, got {limit!r}")
+            _expect(limit >= 0, "index-set limit must be a natural number, got {!r}", limit)
             for x in overrides:
-                _expect(x < limit, f"override index {x} outside the finite index set")
+                _expect(x < limit, "override index {} outside the finite index set", x)
         self.period = period
         self.classes = classes
         self.prefix_overrides = overrides
@@ -152,25 +152,25 @@ class SymbolicElement:
         prefix = dict(prefix or {})
         _expect(_all_ints([modulus]), "field 'modulus' must be an integer")
         for v in class_values:
-            _expect(_all_ints([v]) or v in (ZERO, TOP), f"class value {v!r} must be an integer, 'zero' or 'top'")
+            _expect(_all_ints([v]) or v in (ZERO, TOP), "class value {!r} must be an integer, 'zero' or 'top'", v)
         for x, v in prefix.items():
-            _expect(_all_ints([x]), f"prefix index {x!r} must be an integer")
-            _expect(_all_ints([v]), f"prefix value for {x} must be an integer")
+            _expect(_all_ints([x]), "prefix index {!r} must be an integer", x)
+            _expect(_all_ints([v]), "prefix value for {} must be an integer", x)
         _expect(modulus >= 1 and modulus % spec.period == 0,
-                f"modulus must be a positive multiple of the period {spec.period}, got {modulus!r}")
-        _expect(len(class_values) == modulus, f"{len(class_values)} class values for modulus {modulus}")
+                "modulus must be a positive multiple of the period {}, got {!r}", spec.period, modulus)
+        _expect(len(class_values) == modulus, "{} class values for modulus {}", len(class_values), modulus)
         for x, v in prefix.items():
             order = spec.order_at(x)  # raises on out-of-range indices
-            _expect(0 <= v <= order - 1, f"prefix value {v} invalid in the {order}-element chain at {x}")
+            _expect(0 <= v <= order - 1, "prefix value {} invalid in the {}-element chain at {}", v, order, x)
         for x in spec.prefix_overrides:
-            _expect(x in prefix, f"index {x} has an overridden chain order and needs an explicit prefix value")
+            _expect(x in prefix, "index {} has an overridden chain order and needs an explicit prefix value", x)
         for r, v in enumerate(class_values):
             cls = spec.class_at(r)
             if isinstance(cls, ConstClass):
                 _expect(isinstance(v, int) and 0 <= v <= cls.order - 1,
-                        f"class value {v!r} at residue {r} invalid in a {cls.order}-element chain")
+                        "class value {!r} at residue {} invalid in a {}-element chain", v, r, cls.order)
             else:
-                _expect(v in (ZERO, TOP), f"class value {v!r} at residue {r}: unbounded classes take only ZERO/TOP")
+                _expect(v in (ZERO, TOP), "class value {!r} at residue {}: unbounded classes take only ZERO/TOP", v, r)
         self.spec = spec
         self.modulus = modulus
         self.prefix = prefix
@@ -374,7 +374,7 @@ def maximal_ideal_census(spec: IndexSpec, principal_limit=None) -> tuple:
     if principal_limit is None:
         principal_limit = max(2 * spec.period, max(spec.prefix_overrides, default=0) + 1)
     _expect(_all_ints([principal_limit]) and principal_limit >= 0,
-            f"--principal-limit must be >= 0, got {principal_limit}")
+            "--principal-limit must be >= 0, got {}", principal_limit)
     window = principal_limit if spec.limit is None else spec.limit
     out = [
         MaximalIdealDescriptor("principal", rank=spec.order_at(x), principal=True, index=x)

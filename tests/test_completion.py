@@ -335,6 +335,23 @@ def test_projections_and_reps_share_one_numbering(monkeypatch):
     assert len(calls) == len(system.ideals) == 8
 
 
+def test_every_reader_numbers_each_node_once(monkeypatch):
+    """Reading every transition numbers each node once; the quotients (by
+    index and negative index), `projections` and `reps` read after them
+    number nothing more, and each transition is still projections[j][reps[i]]."""
+    calls = []
+    counted = mv.completion.classes
+    monkeypatch.setattr(mv.completion, "classes", lambda *args: calls.append(1) or counted(*args))
+    system = mv.build_inverse_system(mv.product([L(3), L(2), L(4)]))
+    transitions = {pair: system.transitions[pair] for pair in system.transitions}
+    assert len(calls) == len(system.ideals) == 8
+    quotients = list(system.quotients) + [system.quotients[-1]]
+    projections, reps = system.projections, system.reps
+    assert len(calls) == 8 and [q.size for q in quotients] == [len(r) for r in reps + reps[-1:]]
+    for (i, j), transition in transitions.items():
+        assert transition.tolist() == projections[j][reps[i]].tolist() == system.transitions[(i, j)].tolist()
+
+
 def test_inverse_system_rejects_a_corrupted_certificate():
     """The digit-row swaps of `test_quotient_rejects_a_corrupted_certificate`
     (two elements in different classes of a proper nonzero ideal) are caught

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import mvkit as mv
+from mvkit import data
+from mvkit.cli import parse_algebra_document
 from mvkit.errors import (
     InternalConsistencyError,
     NotAnIdealError,
@@ -450,6 +452,35 @@ def test_classes_match_the_checked_oracle(family):
             bare = mv.Ideal(A, ideal.members)
             assert bare.generator is None and bare == ideal
             assert mv.ideals.classes(A, bare)[0].tolist() == class_of.tolist()
+
+
+def test_quotient_path_keeps_its_array_contract():
+    """`classes` returns a read-only, C-contiguous `index_dtype(n)` class_of
+    and read-only, ascending intp reps; `quotient` returns read-only
+    `index_dtype(m)` tables, C-contiguous read-only certificate digits and a
+    tuple of Python ints equal to class_of.  On every maximal ideal of cap's
+    two mid-size shapes, shuffled (n = 720 and 768), and of a labeled
+    truncation, and on the trivial algebra."""
+    rng = random.Random(101)
+    spec = parse_algebra_document(data.load("example_4_5"))[1]
+    cases = [shuffled(mv.product([L(n) for n in orders]), rng) for orders in ([2, 3, 4, 5, 6], [2, 2, 2, 4, 2, 6, 2])]
+    cases += [mv.truncate(spec, 4), mv.trivial_algebra()]
+    assert [A.size for A in cases] == [720, 768, 120, 1] and cases[2].labels is not None
+    for A in cases:
+        ideals = mv.maximal_decomposition(A, mv.zero_ideal(A)) if A.size > 1 else [mv.zero_ideal(A)]
+        for ideal in ideals:
+            class_of, reps = mv.ideals.classes(A, ideal)
+            assert class_of.dtype == mv.finite.index_dtype(A.size) and class_of.flags.c_contiguous
+            assert not class_of.flags.writeable and not reps.flags.writeable
+            assert reps.dtype == np.intp and (np.diff(reps) > 0).all()
+            quot, proj = mv.quotient(A, ideal)
+            for table in (quot.oplus_table, quot.neg_table):
+                assert table.dtype == mv.finite.index_dtype(quot.size) and not table.flags.writeable
+            if quot.size > 1:
+                digits = quot._cache["decomposition"].digits
+                assert digits.flags.c_contiguous and not digits.flags.writeable
+            assert type(proj) is tuple and all(type(c) is int for c in proj)
+            assert list(proj) == class_of.tolist()
 
 
 def test_certificate_check_catches_what_the_three_checks_catch():

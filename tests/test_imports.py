@@ -1,5 +1,6 @@
-"""Source hygiene: no library module imports a name it never uses, and the
-CLI leaves every integer check to the library's constructors."""
+"""Source hygiene: no library module imports a name it never uses, every
+`_expect` message is a plain string formatted only on refusal, and the CLI
+leaves every integer check to the library's constructors."""
 
 import ast
 import pathlib
@@ -34,6 +35,25 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_modules_use_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def eager_messages(source: str) -> list:
+    """Line numbers of the `_expect(cond, message, *args)` calls whose message
+    is not a string literal: an f-string (or any other expression) is built
+    on every call, valid input included, where `_expect` formats on refusal."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_expect"
+            and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant))]
+
+
+def test_eager_messages_are_found():
+    source = '_expect(ok, f"bad {x}")\n_expect(ok, "bad {}", x)\n_expect(ok, "bad")\n_expect(ok, "{}".format(x))\n'
+    assert eager_messages(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_expect_messages_are_formatted_on_refusal_only(path):
+    assert eager_messages(path.read_text(encoding="utf-8")) == []
 
 
 def int_checks(source: str) -> list:
