@@ -43,7 +43,7 @@ from .finite import (
     decompose,
     from_tables,
 )
-from .ideals import all_ideals, classify, make_ideal, quotient
+from .ideals import _lattice_core, all_ideals, classify, make_ideal, quotient
 from .symbolic import (
     DEFAULT_MAX_TRUNCATION,
     ConstClass,
@@ -241,11 +241,11 @@ def cmd_center(args, doc):
 
 def cmd_ideals(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
-    out = []
+    support, out = _lattice_core(algebra).support, []   # s(x): I_S lists the x with s(x) inside S
     for ideal in all_ideals(algebra):
-        cls = classify(algebra, ideal)
+        cls, s = classify(algebra, ideal), ideal.coordinates
         out.append({
-            "members": list(ideal.sorted_members),
+            "members": np.flatnonzero((support | s) == s).tolist(),
             "proper": cls.proper,
             "prime": cls.prime,
             "maximal": cls.maximal,

@@ -1,21 +1,18 @@
 """Profinite completion of a finite MV-algebra as an explicit inverse limit.
 
-The index poset is every ideal under reverse inclusion (the improper ideal
-adds one forced coordinate, its trivial quotient).  Under the chain-product
-certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate set S, A/I_S
-the projection onto the other coordinates and each transition a further
-projection: the system is the ideal lattice, and each node's classes,
-quotient table and transitions are built only when read.  The completion is
-A on its own tables: the zero ideal is node 0 and its projection the identity.
-
-Two reports cover the Boolean center (every finite algebra is regular) and
-read A's inverse system and center members only: B(A) has A's atoms, so
-I -> I n B(A) is S -> S on coordinate sets, and B(completion of A) is B(A).
-One check per node: B(A)/(I n B(A)) -> B(A/I) hits exactly the central classes.
-
-No function here takes a size cap: the cap is checked once, where an
-algebra is admitted.  Every layer is bounded by A's n x n table: read,
-`projections` is 2^k <= n rows of n entries; the completion shares A's tables.
+The index poset is every ideal under reverse inclusion.  Under the
+chain-product certificate A = prod_{i in K} L_{n_i} an ideal is a coordinate
+set S, A/I_S the projection onto the other coordinates and each transition
+a further projection: the system is the ideal lattice, each node named by
+S, and its classes, quotient tables and transitions are built only when
+read.  The completion is A on its own tables: the zero ideal is node 0 and
+its projection the identity.  The two Boolean-center reports read A's
+system and center members only: B(A) has A's atoms, so I -> I n B(A) is
+S -> S, and B(completion of A) is B(A); one O(n) check, that the
+certificate names the center, makes every B(A)/(I n B(A)) -> B(A/I) an
+isomorphism.  No function here takes a size cap (the cap is checked where
+an algebra is admitted): read, `projections` is 2^k <= n rows of n
+entries, and the completion shares A's tables.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite import FiniteMVAlgebra, _certificate, _frozen, _self_meet, boolean_center
-from .ideals import _checked_key, _key, _quotient_algebra, classes, ideal_lattice
+from .ideals import _checked_key, _quotient_algebra, classes, ideal_lattice
 
 
 class _Nodes(dict):
@@ -76,14 +73,14 @@ class _Transitions(Mapping):
 class InverseSystem:
     """All quotients of one finite algebra with their transition maps.
 
-    `ideals[i]` is the i-th poset node (canonical all_ideals order) and
-    `subset[i, j]` says ideals[i] <= ideals[j].  `projections` is a read-only
-    K x n `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
-    (classes numbered by least member, reps[i][c] the least member of c).
-    All readers share one memo of `ideals.classes`, called once per node on
-    first read; `quotients[i]` builds its O(m^2) algebra on each read, and
-    `transitions[(i, j)]` is O(m), defined when ideals[i] <= ideals[j], else
-    KeyError.  Memo and containers hold the algebra, never the system.
+    `ideals[i]` is the i-th node (canonical all_ideals order), `subset[i, j]`
+    says ideals[i] <= ideals[j], and `projections` is a read-only K x n
+    `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
+    (numbered by least member, reps[i][c] the least member of c).  Readers
+    share one memo of `ideals.classes`, called once per node on first read;
+    `quotients[i]` builds its O(m^2) algebra on each read; `transitions[(i,
+    j)]` is O(m), KeyError unless ideals[i] <= ideals[j].  Memo and
+    containers hold the algebra, never the system.
     """
 
     def __init__(self, algebra, ideals, subset):
@@ -120,9 +117,8 @@ def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
     O(n*k) per atom.
     """
     lattice = ideal_lattice(algebra)
-    atoms = _certificate(algebra).atoms
-    for j, atom in enumerate(atoms):
-        _checked_key(algebra, atom, [i for i in range(len(atoms)) if i != j])
+    for j, atom in enumerate(_certificate(algebra).atoms):
+        _checked_key(algebra, atom, 1 << j)
     return InverseSystem(algebra, lattice.ideals, lattice.subset)
 
 
@@ -143,18 +139,15 @@ class CompletionResult:
 def profinite_completion(algebra: FiniteMVAlgebra) -> CompletionResult:
     """The compatible-thread subalgebra and the canonical map into it.
 
-    The threads are certified rather than searched for, with no check: the
-    (size, members) order puts {0}, the only one-element ideal and the least
-    node, at node 0, keyed by x (.) neg 0 = x, the identity, which numbers
-    to itself.  A thread x is then fixed by its coordinate there,
-    x_j = t_0j(x_0), and each (t_0j(a))_j is compatible because the
-    transitions compose; so the threads are exactly these, one per a in A,
-    in lexicographic order.  The transitions are homomorphisms
-    (proj_j = t_0j o proj_0), so the operations on threads are A's own: the
-    completion is built on A's read-only tables, with A's certificate when A
-    has one, and the canonical map is the identity, tuple(range(n)).  Cost:
-    build_inverse_system's, which numbers no class; the shared tables are
-    not scanned again or copied.
+    The threads are certified, not searched for: the (size, members) order
+    puts {0}, the only one-element ideal, at node 0, keyed by x (.) neg 0 =
+    x, the identity.  A thread x is fixed by its coordinate there,
+    x_j = t_0j(x_0), and each (t_0j(a))_j is compatible as the transitions
+    compose, so the threads are these, one per a in A, in lexicographic
+    order.  The transitions are homomorphisms (proj_j = t_0j o proj_0), so
+    the completion has A's operations: it is built on A's read-only tables,
+    with A's certificate if any, and the canonical map is the identity.  Cost:
+    build_inverse_system's, which numbers no class; no table is copied.
     """
     system = build_inverse_system(algebra)
     completion = FiniteMVAlgebra._built(algebra.size, algebra.zero, algebra.oplus_table, algebra.neg_table)
@@ -195,37 +188,28 @@ class CenterCorrespondenceReport:
 def verify_center_correspondence(algebra: FiniteMVAlgebra) -> CenterCorrespondenceReport:
     """Check the center ideal correspondence (every finite algebra is regular).
 
-    psi_i = ideals[i] n B(A) needs no check: B(A), the x whose digits are
-    all 0 or top, has A's atoms, so its ideals are the coordinate sets
-    J_S = {c : s(c) inside S} = I_S n B(A).  psi is then S -> S, well
-    defined and a bijection onto the 2^k center ideals, and J_S lies in J_T
-    iff S lies in T iff I_S lies in I_T, so it preserves and reverses
-    inclusion: the five psi flags hold and the two counts are equal.
-    theta_i sends a class of B(A)/psi_i to the class in A/I_i of its
-    embedded members: B(A) has A's operations, so d(c, c') is central and in
-    psi_i iff in I_i, B's classes are A's met with the center, and theta_i
-    is well defined and injective by construction.  The one check, O(n) a
-    node, is that it hits exactly the central classes ([x] is central iff
-    x ^ neg x is in I_i), so it is an isomorphism; the squares commute, both
-    ways round sending [c] to [emb c], since proj_j = t_ij o proj_i.  The
-    check reads keys, not numbered classes: a class is a key value, and the
-    keying is a homomorphism, so key(x ^ neg x) = key x ^ neg key x and the
-    check per class is hit[key x] == (key(x ^ neg x) == key 0) for every x.
-    The per-atom check does not imply it: digits relabeled inside one chain,
-    0 kept fixed, pass that check but name the wrong center, and only this
-    check sees it.
+    psi needs no check: B(A), the x whose digits are all 0 or top, has A's
+    atoms, so its ideals are the J_S = I_S n B(A); psi is S -> S, a
+    bijection onto the 2^k center ideals that preserves and reverses
+    inclusion, so the five psi flags hold and the counts agree.  theta_i
+    sends a class of B(A)/psi_i to the class in A/I_i of its members, well
+    defined and injective as B(A) has A's operations.  It is onto the central
+    classes when g_i is central: node i's keying h(x) = x (.) neg g_i is then
+    the projection of A = [0, g_i] x [0, neg g_i] onto [0, neg g_i], kernel
+    I_i, and hits exactly B([0, neg g_i]) (a b central there is (0, b),
+    central in A, and h(b) = b).  The squares commute, as
+    proj_j = t_ij o proj_i.  So the one check, O(n), is theta's at node 0,
+    whose key is the identity: `boolean_center`'s members are the x with
+    x ^ neg x = 0.  With the per-atom check it makes every g_i central, so
+    idempotence needs no check of its own: the per-atom check makes
+    digits(neg a_j) those of 1, central so all 0 or top, with digit j set to
+    0; so neg a_j is central by this check, hence a_j, and g_i is a (+) of
+    atoms.  Digits relabeled inside one chain, 0 kept fixed, pass the
+    per-atom check, and only this one sees the wrong center.
     """
     system = build_inverse_system(algebra)   # checks the certificate boolean_center reads
-    emb = np.asarray(boolean_center(algebra)[0])
-    self_meet = _self_meet(algebra).astype(np.intp)
-
-    def theta_is_iso(ideal):
-        key = _key(algebra, ideal.generator)
-        hit = np.zeros(algebra.size, dtype=bool)
-        hit[key.take(emb)] = True
-        return (hit.take(key) == (key.take(self_meet) == key[algebra.zero])).all()
-
-    isos_ok = bool(all(map(theta_is_iso, system.ideals)))
+    center = np.flatnonzero(_self_meet(algebra) == algebra.zero)
+    isos_ok = bool(np.array_equal(boolean_center(algebra)[0], center))
     k = len(system.ideals)   # psi is S -> S: its five flags hold and the counts agree
     return CenterCorrespondenceReport(k, k, True, True, True, True, True, isos_ok, isos_ok)
 

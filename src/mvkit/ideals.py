@@ -1,50 +1,59 @@
 """Ideal calculus on finite MV-algebras.
 
 An ideal is a carrier subset containing 0, closed under the truncated sum
-and downward closed.  The induced congruence identifies x and y exactly when
-their distance term lands in the ideal; quotients, the classification of
-ideals (proper / prime / maximal / rank), decomposition of an ideal into the
-maximal ideals above it, and the regularity test all live here.
+and downward closed; its congruence identifies x and y when their distance
+lands in it.  Quotients, classification (proper / prime / maximal / rank),
+maximal decomposition and the regularity test live here.
 
 Under the chain-product certificate (`finite.Decomposition`, attached by
 `product` and `chain_algebra`, found by `decompose` otherwise) A is
 prod_{i in K} L_{n_i}, and its ideals are the coordinate sets
-I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits.
-`ideal_lattice` reads all of them, their order and flags off the digits in
-one cached pass, and the other functions answer from it.  The classes of I_S
-are the projection onto the other coordinates, checked against the digits in
-O(n*k); a quotient carries the projected certificate, and the maximal ideals
-are the sets where one digit is 0.  The brute-force procedures these
-replaced are oracles in the test suite.
+I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits, so
+S is an ideal's one identity: the library's `Ideal`s carry S and their join
+and build a member set only when one is read, and `ideal_lattice` caches
+all 2^k as arrays.  The classes of I_S are the projection off S, checked
+against the digits in O(n*k), and a quotient carries the projected
+certificate.  The brute-force procedures these replaced are test oracles.
 
 No layer here takes a size cap: the cap is checked once, where tables or
 chain orders become an algebra, and each layer is bounded by the n x n
-table it reads (`ideal_lattice` states the lattice's bounds).
-
-Tables narrow, indices intp: the tables stay `index_dtype`, and an index
-array made here (a class key) is intp from the start, as numpy casts any
-other index dtype inside every gather.
+table it read.  Tables narrow, indices intp: the tables stay `index_dtype`,
+and an index array made here (a class key) is intp from the start, as
+numpy casts any other index dtype inside every gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, NotAnIdealError, PreconditionError
 from .finite import Decomposition, FiniteMVAlgebra, _all_ints, _certificate, _frozen, index_dtype
 
+_BLOCK = 1 << 18   # entries in one block of the lattice pass's temporaries
 
-@dataclass(frozen=True)
+
 class Ideal:
     """A subset of a finite carrier, downward closed and closed under (+).
-    `generator`, its join, is known (not None) when the library built it; it
-    takes no part in equality."""
 
-    algebra: FiniteMVAlgebra
-    members: frozenset
-    generator: int | None = field(default=None, init=False, compare=False)
+    `Ideal(algebra, members)` holds the set it is given.  The library's
+    ideals are coordinate sets I_S, named by S (`coordinates`, bit j for
+    coordinate j) and carrying their join g (`generator`; both are None on a
+    caller's): their size is the product of S's chain orders, and their
+    members, the down-set of g, are built on first read.  Equality, hash
+    and repr are the member set's."""
+
+    def __init__(self, algebra: FiniteMVAlgebra, members: frozenset):
+        self.algebra, self._members, self.coordinates, self.generator = algebra, members, None, None
+
+    @property
+    def members(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(np.flatnonzero(_down_set(self.algebra, self.generator)).tolist())
+        return self._members
 
     @property
     def sorted_members(self) -> tuple:
@@ -52,13 +61,21 @@ class Ideal:
 
     @property
     def is_proper(self) -> bool:
-        return len(self.members) < self.algebra.size
+        return len(self) < self.algebra.size
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
     def __len__(self) -> int:
-        return len(self.members)
+        if self.coordinates is None:
+            return len(self._members)
+        return math.prod(n for j, n in enumerate(_certificate(self.algebra).chain_orders) if self.coordinates >> j & 1)
+
+    def __eq__(self, other):
+        return isinstance(other, Ideal) and self.algebra is other.algebra and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.algebra, self.members))
 
     def __repr__(self) -> str:
         return f"Ideal({self.sorted_members})"
@@ -66,11 +83,8 @@ class Ideal:
 
 @dataclass(frozen=True)
 class IdealClassification:
-    """Classification flags for one ideal.
-
-    `rank` is the size of the quotient chain when the ideal is maximal and
-    None otherwise (finite algebras only produce finite ranks).
-    """
+    """Classification flags for one ideal; `rank`, the size of the quotient
+    chain, is None unless the ideal is maximal."""
 
     proper: bool
     prime: bool
@@ -91,11 +105,16 @@ def _member_mask(algebra, members) -> np.ndarray:
     return mask
 
 
+def _down_set(algebra: FiniteMVAlgebra, g: int) -> np.ndarray:
+    """{x : g (+) neg x = 1}, the x below g, as a bool mask: one table row, O(n)."""
+    return algebra.oplus_table[g].take(algebra.neg_table) == algebra.one
+
+
 def _generator(algebra: FiniteMVAlgebra, mask) -> int | None:
     """The (+)-fold g of the members when they are exactly the down-set of g
     and g (+) g = g, else None: this holds iff they form an ideal, g its join.
     The fold is pairwise, a gather per level down to 16 scalar reads, and the
-    down-set {x : g (+) neg x = 1} one row of the table: O(n) in all."""
+    down-set one row of the table: O(n) in all."""
     O = algebra.oplus_table
     v, g = np.flatnonzero(mask), algebra.zero
     while len(v) > 16:
@@ -104,15 +123,35 @@ def _generator(algebra: FiniteMVAlgebra, mask) -> int | None:
         v = O[v[:-1:2], v[1::2]].astype(np.intp)
     for x in v.tolist():
         g = O.item(g, x)
-    if O[g, g] != g or (mask != (O[g][algebra.neg_table] == algebra.one)).any():
+    if O[g, g] != g or (mask != _down_set(algebra, g)).any():
         return None
     return g
 
 
-def _ideal(algebra: FiniteMVAlgebra, members: frozenset, g: int) -> Ideal:
+def _coordinates(algebra: FiniteMVAlgebra, rows) -> int:
+    """The coordinates where some x of `rows` (an index, or a bool mask) has
+    a nonzero digit, as a bitmask: s(x) for one x.  O(k) per x."""
+    digits = _certificate(algebra).digits
+    nonzero = (digits[rows] != 0).reshape(-1, digits.shape[1]).any(axis=0)
+    return sum(1 << j for j, bit in enumerate(nonzero.tolist()) if bit)
+
+
+def _node(algebra: FiniteMVAlgebra, s: int, g: int, members: frozenset | None = None) -> Ideal:
+    """The library's `Ideal` I_S, g its join; `members`, when the caller has them."""
     ideal = Ideal(algebra, members)
-    object.__setattr__(ideal, "generator", g)
+    ideal.coordinates, ideal.generator = s, g
     return ideal
+
+
+def _named(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
+    """(S, g) of an ideal: its own when the library built it, else g is
+    `_generator`'s O(n) proof that the members form an ideal and S = s(g)."""
+    if ideal.generator is not None:
+        return ideal.coordinates, ideal.generator
+    g = _generator(algebra, _member_mask(algebra, ideal.members))
+    if g is None:
+        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    return _coordinates(algebra, g), g
 
 
 def is_ideal(algebra: FiniteMVAlgebra, members) -> bool:
@@ -124,40 +163,47 @@ def make_ideal(algebra: FiniteMVAlgebra, members) -> Ideal:
     g = _generator(algebra, _member_mask(algebra, members))
     if g is None:
         raise NotAnIdealError(f"{sorted(set(members))} is not an ideal")
-    return _ideal(algebra, frozenset(int(x) for x in members), g)
+    return _node(algebra, _coordinates(algebra, g), g, frozenset(int(x) for x in members))
 
 
 def zero_ideal(algebra: FiniteMVAlgebra) -> Ideal:
-    return _ideal(algebra, frozenset({algebra.zero}), algebra.zero)
+    return _node(algebra, 0, algebra.zero)
 
 
 def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
-    return _ideal(algebra, frozenset(range(algebra.size)), algebra.one)
+    return _node(algebra, (1 << len(_certificate(algebra).atoms)) - 1, algebra.one)
 
 
 @dataclass(frozen=True, eq=False)
 class _LatticeCore:
-    """What `ideal_lattice` caches: members[i] = I_S = down-set of
-    generators[i] for S = supports[i] (bit j for coordinate j), in (size,
-    member list) order; subset[i, j] iff members[i] lies in members[j];
-    `index` maps member sets to positions; support[x] = s(x).  It holds no
-    `Ideal`s, which would point back at the algebra."""
+    """What `ideal_lattice` caches, arrays only: node i is I_S for S =
+    supports[i] (bit j for coordinate j), the down-set of generators[i], in
+    (size, member list) order; subset[i, j] iff node i lies in node j;
+    support[x] = s(x).  Nothing in it points back at the algebra."""
 
-    members: tuple
-    generators: np.ndarray
-    subset: np.ndarray
-    index: dict
-    prime: np.ndarray
-    maximal: np.ndarray
     support: np.ndarray
     supports: np.ndarray
+    generators: np.ndarray
+    subset: np.ndarray
+    prime: np.ndarray
+    maximal: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class IdealLattice(_LatticeCore):
-    """The cached lattice with `ideals[i]`, the `Ideal` of members[i]."""
+    """The cached lattice with `ideals[i]`, the `Ideal` of node i; `members`
+    (their member sets) and `index` (member set -> node) are built on first
+    read, by this wrapper and never cached on the algebra."""
 
     ideals: tuple
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        return tuple(ideal.members for ideal in self.ideals)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {m: i for i, m in enumerate(self.members)}
 
 
 def _lattice_core(algebra: FiniteMVAlgebra) -> _LatticeCore:
@@ -167,22 +213,27 @@ def _lattice_core(algebra: FiniteMVAlgebra) -> _LatticeCore:
         return cached
     cert = _certificate(algebra)
     n, k = cert.digits.shape
+    m = 1 << k
     support = ((cert.digits != 0) @ (1 << np.arange(k))).astype(index_dtype(n))   # below 2^k <= n
-    lists = [np.flatnonzero((support | s) == s).tolist() for s in range(1 << k)]   # I_S, ascending
-    order = sorted(range(1 << k), key=lambda s: (len(lists[s]), lists[s]))
-    tops = np.full(1 << k, algebra.zero, dtype=support.dtype)      # the join of S's atoms
-    for j, atom in enumerate(cert.atoms):
+    tops = np.full(m, algebra.zero, dtype=support.dtype)      # the join of S's atoms
+    sizes = np.ones(m, dtype=np.int64)                        # |I_S|
+    for j, (atom, order) in enumerate(zip(cert.atoms, cert.chain_orders)):
         tops[1 << j:2 << j] = algebra.oplus_table[tops[:1 << j], atom]
-    if (support[tops] != np.arange(1 << k)).any():
+        sizes[1 << j:2 << j] = sizes[:1 << j] * order
+    if (support[tops] != np.arange(m)).any():
         raise InternalConsistencyError("an ideal's generator does not have the ideal's support")
-    supports = np.array(order, dtype=support.dtype)
-    # the quotient is a chain, so the ideal prime, exactly when one coordinate
-    # is left out; those ideals are also the maximal ones
-    maximal = np.array([s.bit_count() == k - 1 for s in order], dtype=bool)
-    members = tuple(frozenset(lists[s]) for s in order)
-    core = _LatticeCore(members, tops[order], (supports[:, None] & ~supports) == 0,
-                        {m: i for i, m in enumerate(members)}, maximal, maximal, support, supports)
-    for shared in (core.generators, core.subset, maximal, support, supports):
+    rows, step = np.empty((m, (n + 7) // 8), dtype=np.uint8), max(1, _BLOCK // n)
+    for lo in range(0, m, step):   # row S: the x with s(x) inside S, bit-packed and inverted
+        s = np.arange(lo, min(lo + step, m), dtype=support.dtype)[:, None]
+        rows[lo:lo + step] = ~np.packbits((support | s) == s, axis=1)
+    supports = np.argsort(rows.view(f"V{rows.shape[1]}").ravel())   # rows as byte strings
+    supports = supports[np.argsort(sizes[supports], kind="stable")].astype(support.dtype)
+    subset = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, step):
+        np.equal(supports[lo:lo + step, None] & ~supports, 0, out=subset[lo:lo + step])
+    maximal = np.isin(supports, [(m - 1) ^ (1 << j) for j in range(k)])
+    core = _LatticeCore(support, supports, tops[supports], subset, maximal, maximal)
+    for shared in vars(core).values():
         shared.setflags(write=False)
     algebra._cache["ideal_lattice"] = core
     return core
@@ -192,18 +243,23 @@ def ideal_lattice(algebra: FiniteMVAlgebra) -> IdealLattice:
     """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
 
     I_S is the down-set of the join of S's atoms, its generator (one table
-    read each, checked to have support S); it lies in I_T iff S lies in T,
-    a bitmask test; it is maximal, equally prime, iff S misses one
-    coordinate.  Its members are the x whose support s(x) lies in S, one
-    bitmask test each.  Cost O(2^k * n) for the members, O(4^k) for
-    inclusion and the canonical sort; no order matrix or center.  All three
-    are within the n x n table: 2^k <= n, prod (1 + n_i) <= n^1.59 members
-    and 4^k <= n^2 bits, so no cap of its own is needed.  The cache
-    holds member sets only, wrapped in new `Ideal`s per call, so the algebra
-    and its cache form no cycle.
+    read each, checked to have support S); it lies in I_T iff S lies in T;
+    it is maximal, equally prime, iff S misses one coordinate, the quotient
+    then being a chain.  No member list is made for the canonical (size,
+    member list) order: two ascending lists of one size first differ at an
+    element one set has and the other lacks, and the list holding it comes
+    first, so within one size list order is the descending order of the
+    indicator rows: the nodes sort by their inverted bit-packed rows (the x
+    with s(x) inside S) as byte strings, then stably by |I_S|.  Cost
+    O(2^k * n) for the rows, a sort of 2^k rows of n / 8 bytes, O(4^k) for
+    inclusion; at its peak it holds the 4^k-bit inclusion matrix, the rows
+    (16 MB and 2 MB at 2^12) and temporaries of `_BLOCK` entries, all within
+    the n x n table (2^k <= n), so no cap of its own is needed.  The cache
+    holds arrays only, wrapped in new `Ideal`s per call, so the algebra and
+    its cache form no cycle.
     """
     core = _lattice_core(algebra)
-    ideals = tuple(_ideal(algebra, m, g) for m, g in zip(core.members, core.generators.tolist()))
+    ideals = tuple(map(functools.partial(_node, algebra), core.supports.tolist(), core.generators.tolist()))
     return IdealLattice(**vars(core), ideals=ideals)
 
 
@@ -214,38 +270,35 @@ def all_ideals(algebra: FiniteMVAlgebra) -> tuple:
 
 def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:
     """Least ideal containing `seed`: I_S for S the union of the seed's
-    supports, since I_S contains x iff s(x) lies in S (O(|seed| + 2^k))."""
-    mask = _member_mask(algebra, seed)
-    core = _lattice_core(algebra)
-    i = int(np.flatnonzero(core.supports == np.bitwise_or.reduce(core.support[mask]))[0])
-    return _ideal(algebra, core.members[i], int(core.generators[i]))
+    supports, since I_S contains x iff s(x) lies in S; its generator is the
+    (+) of S's atoms (O(n + |seed| * k))."""
+    s, atoms = _coordinates(algebra, _member_mask(algebra, seed)), _certificate(algebra).atoms
+    g = functools.reduce(algebra.oplus_table.item, (a for j, a in enumerate(atoms) if s >> j & 1), algebra.zero)
+    return _node(algebra, s, g)
 
 
 def classify(algebra: FiniteMVAlgebra, ideal: Ideal) -> IdealClassification:
-    """Flags and generator g read off the lattice, which holds every ideal (a
-    set outside it is refused); proper is g != 1, and a maximal I = [0, g]
-    has rank n / |I|: each class of A = [0, g] x [0, neg g] has |I| members."""
-    core = _lattice_core(algebra)
-    i = core.index.get(ideal.members)
-    if i is None:
-        raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    g, maximal = int(core.generators[i]), bool(core.maximal[i])
-    rank = algebra.size // len(ideal.members) if maximal else None
-    return IdealClassification(g != algebra.one, bool(core.prime[i]), maximal, rank, g)
+    """Flags and generator g read off (S, g) from `_named` (a caller's set
+    that is not an ideal is refused): proper is g != 1; I_S is maximal, and
+    equally prime, iff S misses one coordinate, as A/I_S is then a chain;
+    and a maximal I = [0, g] has rank n / |I|: each class of
+    A = [0, g] x [0, neg g] has |I| members.  O(k) on a library ideal."""
+    s, g = _named(algebra, ideal)
+    maximal = ((1 << len(_certificate(algebra).atoms)) - 1 ^ s).bit_count() == 1
+    return IdealClassification(g != algebra.one, maximal, maximal, algebra.size // len(ideal) if maximal else None, g)
 
 
-def _key(algebra: FiniteMVAlgebra, g: int) -> np.ndarray:
-    """x (.) neg g = neg(neg x (+) g) for every x, as intp: its projection onto [0, neg g]."""
-    return algebra.neg_table.take(algebra.oplus_table[g].take(algebra.neg_table)).astype(np.intp)
-
-
-def _checked_key(algebra: FiniteMVAlgebra, g: int, kept) -> np.ndarray:
-    """`_key` of g, checked in O(n*k): its n x k digit rows, less x's in the
-    `kept` columns (indices, one in-place subtraction each), must be zero."""
-    key, digits = _key(algebra, g), _certificate(algebra).digits
+def _checked_key(algebra: FiniteMVAlgebra, g: int, s: int) -> np.ndarray:
+    """x (.) neg g = neg(neg x (+) g), x's projection onto [0, neg g], for
+    every x as intp, checked in O(n*k) to be the projection off S: its n x k
+    digit rows, less x's in the columns outside S (one in-place subtraction
+    each), must be zero."""
+    key = algebra.neg_table.take(algebra.oplus_table[g].take(algebra.neg_table)).astype(np.intp)
+    digits = _certificate(algebra).digits
     taken = digits.take(key, axis=0)
-    for j in kept:
-        taken[:, j] -= digits[:, j]
+    for j in range(digits.shape[1]):
+        if not s >> j & 1:
+            taken[:, j] -= digits[:, j]
     if np.count_nonzero(taken):
         raise InternalConsistencyError("class keys are not the certificate's coordinate projection")
     return key
@@ -269,26 +322,19 @@ def _number_classes(key):
 def classes(algebra: FiniteMVAlgebra, ideal: Ideal):
     """The classes of the congruence d(x, y) in I as read-only arrays:
     class_of[x], numbered by least member, and reps[c], those members.  With
-    g the generator of I (the ideal's, else `_generator`'s, which proves I an
-    ideal), x is keyed by `_key`, x (.) neg g, its projection onto [0, neg g].
-
-    The one check (`_checked_key`): the key's digits are x's with S, g's
-    nonzero coordinates, set to 0.  The certificate being an isomorphism,
-    the keying is then the projection off S, a homomorphism, which implies
-    the congruence, induced negation and kernel checks this used to make:
-    the kernel, digits 0 off S, is the down-set of g, I; negation respects
-    keys; and x and rep x share a key, so d(x, rep x) has key 0, in I.  Cost
-    O(n*k), no sort, no table: it allocates the key (two n-entry gathers and
-    an intp copy), its n x k digit rows and `_number_classes`' arrays, and
-    reads no per-algebra cache but the certificate.
+    (S, g) from `_named`, x is keyed by x (.) neg g, its projection onto
+    [0, neg g].  The one check (`_checked_key`): the key's digits are
+    x's with S's set to 0.  The certificate being an isomorphism, the keying
+    is then the projection off S, a homomorphism, which implies the
+    congruence, negation and kernel checks this used to make: the kernel,
+    digits 0 off S, is the down-set of g, I; negation respects keys; and x
+    and rep x share a key, so d(x, rep x) has key 0, in I.  Cost O(n*k), no
+    sort, no table: the key (two n-entry gathers and an intp copy), its
+    n x k digit rows and `_number_classes`' arrays; no cache is read but
+    the certificate.
     """
-    g = ideal.generator
-    if g is None:
-        g = _generator(algebra, _member_mask(algebra, ideal.members))
-        if g is None:
-            raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
-    kept = [j for j, digit in enumerate(_certificate(algebra).digits[g].tolist()) if not digit]
-    return _number_classes(_checked_key(algebra, g, kept))
+    s, g = _named(algebra, ideal)
+    return _number_classes(_checked_key(algebra, g, s))
 
 
 def _quotient_algebra(algebra: FiniteMVAlgebra, class_of, reps) -> FiniteMVAlgebra:
@@ -318,41 +364,32 @@ def quotient(algebra: FiniteMVAlgebra, ideal: Ideal):
 def maximal_decomposition(algebra: FiniteMVAlgebra, ideal: Ideal) -> tuple:
     """The maximal ideals M_1..M_r with intersection equal to a proper ideal.
 
-    They are the M_i = {x : digits[x, i] = 0} = down-set of neg a_i (a_i the
-    atom of coordinate i) where every member's digit i is 0; the ideals are
-    intersections of M_i, so theirs equals the members iff those form an
-    ideal, the one check.  When it fails, `_generator`'s table test (O(n))
-    tells a set that is not an ideal from a certificate that disagrees with
-    the tables.  O(n*k) and one sort of the r member lists.
+    For I_S, (S, g) from `_named` (a caller's set that is not an ideal is
+    refused), they are the M_j = {x : digits[x, j] = 0} for j outside S, the
+    down-sets of neg a_j (a_j coordinate j's atom); the one check is that
+    they intersect to the down-set of g, which a certificate at odds with the
+    tables fails.  No M_j lies in another, so list order is the descending
+    order of their indicator rows: one sort of bit-packed rows.  O(n*k), and
+    no member set is built.
     """
-    mask = _member_mask(algebra, ideal.members)
-    if mask.all():
+    (s, g), cert = _named(algebra, ideal), _certificate(algebra)
+    if g == algebra.one:
         raise PreconditionError("the improper ideal has no maximal decomposition")
-    cert = _certificate(algebra)
-    above = np.flatnonzero((cert.digits[mask] == 0).all(axis=0))
+    above = [j for j in range(len(cert.atoms)) if not s >> j & 1]
     zero_sets = cert.digits.T[above] == 0
-    if (zero_sets.all(axis=0) != mask).any():
-        # a genuine ideal that misses the intersection means a broken certificate
-        if ideal.generator is None and _generator(algebra, mask) is None:
-            raise NotAnIdealError(f"{ideal.sorted_members} is not an ideal")
+    if (zero_sets.all(axis=0) != _down_set(algebra, g)).any():
         raise InternalConsistencyError("maximal decomposition does not intersect to the ideal")
-    x = np.nonzero(zero_sets)[1].tolist()
-    ends = np.cumsum(zero_sets.sum(axis=1)).tolist()
-    tops = algebra.neg_table[[cert.atoms[i] for i in above.tolist()]].tolist()
-    found = sorted(zip((x[a:b] for a, b in zip([0] + ends[:-1], ends)), tops))
-    return tuple(_ideal(algebra, frozenset(m), g) for m, g in found)
+    rows, full = ~np.packbits(zero_sets, axis=1), (1 << len(cert.atoms)) - 1
+    return tuple(_node(algebra, full ^ 1 << j, algebra.neg_table.item(cert.atoms[j]))
+                 for j in np.take(above, np.argsort(rows.view(f"V{rows.shape[1]}").ravel())).tolist())
 
 
 def is_regular(algebra: FiniteMVAlgebra) -> bool:
     """Does every prime ideal of the Boolean center generate a prime ideal?
-
-    Always, given the certificate A = prod_{j in K} L_{n_j}: the center is
-    the x with every digit 0 or top, its prime ideals the P_j = {c : c_j = 0}.
-    Central elements are idempotent, so P_j generates the down-set of its
-    join (digit 0 at j, top elsewhere), M_j = {x : x_j = 0}, which is prime
-    as A/M_j is the chain L_{n_j}.  Tables without a certificate raise
-    InternalConsistencyError.  Cost: the certificate's, O(n^2) once when
-    it is not cached, within the n x n table's own bound.
-    """
+    Always, given the certificate A = prod_{j in K} L_{n_j}: the center's
+    prime ideals are the P_j = {c : c_j = 0}, and P_j, central elements being
+    idempotent, generates the down-set of its join, M_j = {x : x_j = 0},
+    prime as A/M_j is the chain L_{n_j}.  Tables without a certificate raise
+    InternalConsistencyError.  Cost: the certificate's, O(n^2) once."""
     _certificate(algebra)
     return True

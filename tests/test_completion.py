@@ -405,6 +405,63 @@ def test_center_check_catches_digits_relabeled_inside_a_chain():
         A._cache["decomposition"] = cert
 
 
+def center_keys_by_nodes(algebra):
+    """The per-node check the center correspondence made before its one
+    check: at every node, keyed by x (.) neg g, the keys of the center's
+    members are exactly the keys whose class is central (key(x ^ neg x)
+    equals key 0)."""
+    system = mv.build_inverse_system(algebra)
+    emb = np.asarray(mv.boolean_center(algebra)[0])
+    self_meet = mv.finite._self_meet(algebra).astype(np.intp)
+    for ideal in system.ideals:
+        key = algebra.neg_table.take(algebra.oplus_table[ideal.generator].take(algebra.neg_table)).astype(np.intp)
+        hit = np.zeros(algebra.size, dtype=bool)
+        hit[key.take(emb)] = True
+        if not (hit.take(key) == (key.take(self_meet) == key[algebra.zero])).all():
+            return False
+    return True
+
+
+def test_center_check_matches_the_per_node_key_check(family):
+    """The one center check reads as the per-node key check it replaced, on
+    the shuffled family, on 2^10 x L4 (2048 nodes, a center that is not A)
+    and on the chain-relabeled certificate both refuse."""
+    rng = random.Random(107)
+    cases = [shuffled(algebra, rng) for _, algebra in family]
+    cases += [mv.product([L(2)] * 10 + [L(4)]), mv.trivial_algebra()]
+    for A in cases:
+        report = mv.verify_center_correspondence(A)
+        assert report.quotient_isos_ok is report.squares_ok is center_keys_by_nodes(A) is True, A.size
+    A = mv.product([L(3), L(2)])
+    cert = A._cache["decomposition"]
+    digits = np.array(cert.digits)
+    col = cert.chain_orders.index(3)
+    digits[:, col] = np.array([0, 2, 1])[digits[:, col]]   # 1/2 and 1 swapped
+    A._cache.clear()
+    A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
+    assert mv.verify_center_correspondence(A).quotient_isos_ok is center_keys_by_nodes(A) is False
+
+
+def test_lattice_readers_build_no_member_set(monkeypatch):
+    """On 2^12 (4096 ideals) the completion, both center reports and the
+    maximal decomposition of the zero ideal read no ideal's member set: the
+    cached lattice is arrays, and a library `Ideal` builds its members on
+    first read only, as the digit-zero sets for the maximal ideals."""
+    reads = []
+    members = mv.ideals.Ideal.members
+    monkeypatch.setattr(mv.ideals.Ideal, "members", property(lambda ideal: reads.append(1) or members.fget(ideal)))
+    A = mv.product([L(2)] * 12)
+    result = mv.profinite_completion(A)
+    assert mv.verify_center_completion_commute(A).ok and mv.verify_center_correspondence(A).ok
+    parts = mv.maximal_decomposition(A, mv.zero_ideal(A))
+    assert reads == [] and result.thread_count == len(result.system.ideals) == 4096
+    assert all(ideal._members is None for ideal in result.system.ideals + parts)
+    assert all(isinstance(value, np.ndarray) for value in vars(A._cache["ideal_lattice"]).values())
+    digits = A._cache["decomposition"].digits
+    assert sorted(sorted(p.members) for p in parts) == sorted(np.flatnonzero(col == 0).tolist() for col in digits.T)
+    assert len(reads) == 12
+
+
 def test_analysis_layers_take_an_algebra_past_the_default_cap():
     """The carrier cap is checked where an algebra is admitted and nowhere
     after: a chain built past the default cap of 4096 goes through every

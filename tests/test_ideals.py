@@ -549,3 +549,27 @@ def test_ideal_lattice_checks_generator_supports():
     A._cache["decomposition"] = dataclasses.replace(cert, digits=digits)
     with pytest.raises(InternalConsistencyError):
         mv.ideals.ideal_lattice(A)
+
+
+def test_library_ideals_read_as_caller_ideals(family):
+    """A library `Ideal` (a lattice node, a generated, maximal, zero, improper
+    or made ideal), named by its coordinates and generator, reads as the
+    caller's `Ideal` of the same member set, the down-set of its generator
+    by closure: members, sorted members, size, properness, membership,
+    equality, hash, repr and classification."""
+    rng = random.Random(109)
+    for combo, algebra in family:
+        A = shuffled(algebra, rng)
+        built = [*mv.all_ideals(A), *mv.maximal_decomposition(A, mv.zero_ideal(A)), mv.zero_ideal(A),
+                 mv.improper_ideal(A), mv.generated_ideal(A, rng.sample(range(A.size), 2))]
+        built.append(mv.make_ideal(A, sorted(built[-1].members)))
+        for ideal in built:
+            size, proper, cls = len(ideal), ideal.is_proper, mv.classify(A, ideal)   # read off S and g
+            assert ideal.coordinates is not None and ideal.generator is not None, combo
+            bare = mv.Ideal(A, frozenset(ideal_by_closure(A, {ideal.generator})))
+            assert (size, proper, cls) == (len(bare), bare.is_proper, mv.classify(A, bare)), (combo, ideal)
+            assert ideal.members == bare.members and ideal.sorted_members == bare.sorted_members
+            assert [x in ideal for x in (-1, *range(A.size), A.size, "0")] == \
+                [x in bare for x in (-1, *range(A.size), A.size, "0")]
+            assert ideal == bare and bare == ideal and hash(ideal) == hash(bare) and repr(ideal) == repr(bare)
+            assert ideal != mv.Ideal(A, bare.members ^ {A.one}) and ideal != mv.Ideal(shuffled(A, rng), bare.members)
