@@ -43,7 +43,7 @@ from .finite import (
     decompose,
     from_tables,
 )
-from .ideals import _lattice_core, all_ideals, classify, make_ideal, quotient
+from .ideals import all_ideals, classify, make_ideal, quotient
 from .symbolic import (
     DEFAULT_MAX_TRUNCATION,
     ConstClass,
@@ -228,7 +228,7 @@ def cmd_decompose(args, doc):
         "atoms": list(dec.atoms),
         "chain_orders": list(dec.chain_orders),
         "sorted_orders": list(dec.sorted_orders),
-        "iso": [list(t) for t in dec.iso],
+        "iso": dec.digits.tolist(),
         "algebra": product_document(dec.sorted_orders),
     }, 0
 
@@ -241,11 +241,11 @@ def cmd_center(args, doc):
 
 def cmd_ideals(args, doc):
     algebra = _require("finite", parse_algebra_document(doc, args.max_size), "ideals")
-    support, out = _lattice_core(algebra).support, []   # s(x): I_S lists the x with s(x) inside S
+    out = []
     for ideal in all_ideals(algebra):
-        cls, s = classify(algebra, ideal), ideal.coordinates
+        cls = classify(algebra, ideal)
         out.append({
-            "members": np.flatnonzero((support | s) == s).tolist(),
+            "members": ideal.sorted_members,
             "proper": cls.proper,
             "prime": cls.prime,
             "maximal": cls.maximal,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite import FiniteMVAlgebra, _certificate, _frozen, _self_meet, boolean_center
-from .ideals import _checked_key, _quotient_algebra, classes, ideal_lattice
+from .ideals import _checked_key, _quotient_algebra, all_ideals, classes, ideal_lattice
 
 
 class _Nodes(dict):
@@ -52,41 +52,55 @@ class _Quotients(Sequence):
 
 
 class _Transitions(Mapping):
-    """transitions[(i, j)] = projections[j][reps[i]] on the comparable pairs."""
+    """transitions[(i, j)] = projections[j][reps[i]] on the comparable pairs,
+    S_i & ~S_j == 0; any other key, (i, j) not a pair of in-range ints,
+    numpy ints included and bools not, raises KeyError."""
 
-    def __init__(self, nodes, subset):
-        self._nodes, self._subset = nodes, subset
+    def __init__(self, nodes, supports):
+        self._nodes, self._supports = nodes, supports
 
     def __getitem__(self, pair):
-        i, j = pair
-        if min(i, j) < 0 or max(i, j) >= len(self._subset) or not self._subset[i, j]:
+        s = self._supports
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(type(x) is int or isinstance(x, np.integer) for x in pair)
+                and 0 <= min(pair) and max(pair) < len(s)) or s[pair[0]] & ~s[pair[1]]:
             raise KeyError(pair)
-        return self._nodes[j][0][self._nodes[i][1]]
+        return self._nodes[pair[1]][0][self._nodes[pair[0]][1]]
 
-    def __iter__(self):
-        return zip(*(a.tolist() for a in np.nonzero(self._subset)))
+    def __iter__(self):   # row by row, in the order of subset's nonzero entries
+        s = self._supports
+        return ((i, j) for i in range(len(s)) for j in np.flatnonzero(s[i] & ~s == 0).tolist())
 
     def __len__(self):
-        return int(np.count_nonzero(self._subset))
+        """3^k: a coordinate of a comparable pair is in both, neither or the larger only."""
+        return 3 ** (len(self._supports).bit_length() - 1)
 
 
 class InverseSystem:
     """All quotients of one finite algebra with their transition maps.
 
-    `ideals[i]` is the i-th node (canonical all_ideals order), `subset[i, j]`
-    says ideals[i] <= ideals[j], and `projections` is a read-only K x n
-    `index_dtype` array, projections[i][x] the class of x in A/ideals[i]
-    (numbered by least member, reps[i][c] the least member of c).  Readers
-    share one memo of `ideals.classes`, called once per node on first read;
-    `quotients[i]` builds its O(m^2) algebra on each read; `transitions[(i,
-    j)]` is O(m), KeyError unless ideals[i] <= ideals[j].  Memo and
-    containers hold the algebra, never the system.
+    `ideals[i]` is the i-th node I_S (canonical all_ideals order),
+    `subset[i, j]` says ideals[i] <= ideals[j], and `projections` is a
+    read-only K x n `index_dtype` array, projections[i][x] the class of x in
+    A/ideals[i] (numbered by least member, reps[i][c] the least member of
+    c).  Readers share one memo of `ideals.classes`, called once per node on
+    first read; `quotients[i]` builds its O(m^2) algebra on each read;
+    `transitions[(i, j)]` is O(m), KeyError unless S_i & ~S_j == 0.  Memo
+    and containers hold the algebra, never the system.
     """
 
-    def __init__(self, algebra, ideals, subset):
-        self.algebra, self.ideals, self.subset = algebra, ideals, subset
-        self._nodes = _Nodes(algebra, ideals)
-        self.quotients, self.transitions = _Quotients(self._nodes), _Transitions(self._nodes, subset)
+    def __init__(self, algebra):
+        self.algebra, self.ideals, self._supports = algebra, all_ideals(algebra), ideal_lattice(algebra).supports
+        self._nodes = _Nodes(algebra, self.ideals)
+        self.quotients, self.transitions = _Quotients(self._nodes), _Transitions(self._nodes, self._supports)
+
+    @functools.cached_property
+    def subset(self):
+        """The inclusion matrix, subset[i, j] iff S_i & ~S_j == 0, filled row
+        by row on first read and kept, read-only: O(4^k) time and 4^k bytes
+        (16 MB at 2^12), with one row's temporaries beside it."""
+        s = self._supports
+        return _frozen(np.fromiter((s[i] & ~s == 0 for i in range(len(s))), dtype=(bool, len(s)), count=len(s)))
 
     @functools.cached_property
     def _numbering(self):   # (projections, reps), shared by both
@@ -103,7 +117,7 @@ class InverseSystem:
 
 
 def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
-    """The ideal lattice as an inverse system; no class is numbered here.
+    """The ideal lattice as an inverse system: no class numbered, no matrix built.
 
     Node I_S keys x by x (.) neg g_S (`ideals.classes`), g_S the join of S's
     atoms a_j.  The one check, `classes`' certificate check made once per
@@ -116,10 +130,9 @@ def build_inverse_system(algebra: FiniteMVAlgebra) -> InverseSystem:
     is onto, t_ii = id, t_jm o t_ij = t_im.  Cost: the lattice's, and
     O(n*k) per atom.
     """
-    lattice = ideal_lattice(algebra)
     for j, atom in enumerate(_certificate(algebra).atoms):
         _checked_key(algebra, atom, 1 << j)
-    return InverseSystem(algebra, lattice.ideals, lattice.subset)
+    return InverseSystem(algebra)
 
 
 @dataclass

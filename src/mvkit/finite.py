@@ -453,10 +453,10 @@ class Decomposition:
     `chain_orders[i]` is the number of elements of the interval [0, atoms[i]];
     `digits[x, i]` is the position of x ^ atoms[i] in that chain (a read-only
     n x k array), and x -> digits[x] is the isomorphism.  `iso[x]`, the
-    numerator tuple of x, and its inverse `iso_inverse` are derived from the
-    digits on first use.  The multiset of chain orders is a complete
-    isomorphism invariant, exposed sorted via `sorted_orders`.  It holds no
-    reference to the algebra, so caching it makes no cycle.
+    numerator tuple of x, is derived from the digits on first use.  The
+    multiset of chain orders is a complete isomorphism invariant, exposed
+    sorted via `sorted_orders`.  It holds no reference to the algebra, so
+    caching it makes no cycle.
     """
 
     atoms: tuple
@@ -466,10 +466,6 @@ class Decomposition:
     @cached_property
     def iso(self) -> tuple:
         return tuple(map(tuple, self.digits.tolist()))
-
-    @cached_property
-    def iso_inverse(self) -> dict:
-        return {t: x for x, t in enumerate(self.iso)}
 
     @property
     def sorted_orders(self) -> tuple:

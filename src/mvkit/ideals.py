@@ -10,8 +10,9 @@ Under the chain-product certificate (`finite.Decomposition`, attached by
 prod_{i in K} L_{n_i}, and its ideals are the coordinate sets
 I_S = {x : s(x) inside S}, s(x) the coordinates of x's nonzero digits, so
 S is an ideal's one identity: the library's `Ideal`s carry S and their join
-and build a member set only when one is read, and `ideal_lattice` caches
-all 2^k as arrays.  The classes of I_S are the projection off S, checked
+and build a member set only when one is read, `ideal_lattice` caches the
+canonical order of all 2^k as arrays, and inclusion and maximality are
+bitmask tests on S.  The classes of I_S are the projection off S, checked
 against the digits in O(n*k), and a quotient carries the projected
 certificate.  The brute-force procedures these replaced are test oracles.
 
@@ -52,12 +53,15 @@ class Ideal:
     @property
     def members(self) -> frozenset:
         if self._members is None:
-            self._members = frozenset(np.flatnonzero(_down_set(self.algebra, self.generator)).tolist())
+            self._members = frozenset(self.sorted_members)
         return self._members
 
     @property
     def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members))
+        """Ascending; a library ideal's is one `flatnonzero` of g's down-set."""
+        if self.generator is None:
+            return tuple(sorted(self._members))
+        return tuple(np.flatnonzero(_down_set(self.algebra, self.generator)).tolist())
 
     @property
     def is_proper(self) -> bool:
@@ -175,46 +179,41 @@ def improper_ideal(algebra: FiniteMVAlgebra) -> Ideal:
 
 
 @dataclass(frozen=True, eq=False)
-class _LatticeCore:
+class IdealLattice:
     """What `ideal_lattice` caches, arrays only: node i is I_S for S =
     supports[i] (bit j for coordinate j), the down-set of generators[i], in
-    (size, member list) order; subset[i, j] iff node i lies in node j;
-    support[x] = s(x).  Nothing in it points back at the algebra."""
+    (size, member list) order.  Nothing in it points back at the algebra."""
 
-    support: np.ndarray
     supports: np.ndarray
     generators: np.ndarray
-    subset: np.ndarray
-    prime: np.ndarray
-    maximal: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class IdealLattice(_LatticeCore):
-    """The cached lattice with `ideals[i]`, the `Ideal` of node i; `members`
-    (their member sets) and `index` (member set -> node) are built on first
-    read, by this wrapper and never cached on the algebra."""
+def ideal_lattice(algebra: FiniteMVAlgebra) -> IdealLattice:
+    """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
 
-    ideals: tuple
-
-    @functools.cached_property
-    def members(self) -> tuple:
-        return tuple(ideal.members for ideal in self.ideals)
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return {m: i for i, m in enumerate(self.members)}
-
-
-def _lattice_core(algebra: FiniteMVAlgebra) -> _LatticeCore:
-    """The cached lattice pass; see `ideal_lattice`."""
+    I_S is the down-set of the join of S's atoms, its generator (one table
+    read each, checked to have support S).  No member list is made for the
+    canonical (size, member list) order: two ascending lists of one size
+    first differ at an element one set has and the other lacks, and the list
+    holding it comes first, so within one size list order is the descending
+    order of the indicator rows: the nodes sort by their inverted bit-packed
+    rows (the x with s(x) inside S) as byte strings, then stably by |I_S|.
+    Only that order is cached; every relation is a bitmask test on S where
+    it is read: I_S lies in I_T iff S & ~T == 0, and is maximal, equally
+    prime, iff S misses one coordinate, the quotient then being a chain.
+    Cost O(2^k * n) for the rows and a sort of 2^k rows of n / 8 bytes; at
+    its peak it holds the rows (2 MB at 2^12) and temporaries of `_BLOCK`
+    entries, all within the n x n table (2^k <= n), so no cap of its own is
+    needed.  The cache holds arrays only (`all_ideals` wraps them in new
+    `Ideal`s per call), so the algebra and its cache form no cycle.
+    """
     cached = algebra._cache.get("ideal_lattice")
     if cached is not None:
         return cached
     cert = _certificate(algebra)
     n, k = cert.digits.shape
     m = 1 << k
-    support = ((cert.digits != 0) @ (1 << np.arange(k))).astype(index_dtype(n))   # below 2^k <= n
+    support = ((cert.digits != 0) @ (1 << np.arange(k))).astype(index_dtype(n))   # s(x), below 2^k <= n
     tops = np.full(m, algebra.zero, dtype=support.dtype)      # the join of S's atoms
     sizes = np.ones(m, dtype=np.int64)                        # |I_S|
     for j, (atom, order) in enumerate(zip(cert.atoms, cert.chain_orders)):
@@ -228,44 +227,15 @@ def _lattice_core(algebra: FiniteMVAlgebra) -> _LatticeCore:
         rows[lo:lo + step] = ~np.packbits((support | s) == s, axis=1)
     supports = np.argsort(rows.view(f"V{rows.shape[1]}").ravel())   # rows as byte strings
     supports = supports[np.argsort(sizes[supports], kind="stable")].astype(support.dtype)
-    subset = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, step):
-        np.equal(supports[lo:lo + step, None] & ~supports, 0, out=subset[lo:lo + step])
-    maximal = np.isin(supports, [(m - 1) ^ (1 << j) for j in range(k)])
-    core = _LatticeCore(support, supports, tops[supports], subset, maximal, maximal)
-    for shared in vars(core).values():
-        shared.setflags(write=False)
-    algebra._cache["ideal_lattice"] = core
-    return core
-
-
-def ideal_lattice(algebra: FiniteMVAlgebra) -> IdealLattice:
-    """The 2^k ideals I_S as coordinate sets, in one cached pass over the digits.
-
-    I_S is the down-set of the join of S's atoms, its generator (one table
-    read each, checked to have support S); it lies in I_T iff S lies in T;
-    it is maximal, equally prime, iff S misses one coordinate, the quotient
-    then being a chain.  No member list is made for the canonical (size,
-    member list) order: two ascending lists of one size first differ at an
-    element one set has and the other lacks, and the list holding it comes
-    first, so within one size list order is the descending order of the
-    indicator rows: the nodes sort by their inverted bit-packed rows (the x
-    with s(x) inside S) as byte strings, then stably by |I_S|.  Cost
-    O(2^k * n) for the rows, a sort of 2^k rows of n / 8 bytes, O(4^k) for
-    inclusion; at its peak it holds the 4^k-bit inclusion matrix, the rows
-    (16 MB and 2 MB at 2^12) and temporaries of `_BLOCK` entries, all within
-    the n x n table (2^k <= n), so no cap of its own is needed.  The cache
-    holds arrays only, wrapped in new `Ideal`s per call, so the algebra and
-    its cache form no cycle.
-    """
-    core = _lattice_core(algebra)
-    ideals = tuple(map(functools.partial(_node, algebra), core.supports.tolist(), core.generators.tolist()))
-    return IdealLattice(**vars(core), ideals=ideals)
+    lattice = IdealLattice(_frozen(supports), _frozen(tops[supports]))
+    algebra._cache["ideal_lattice"] = lattice
+    return lattice
 
 
 def all_ideals(algebra: FiniteMVAlgebra) -> tuple:
-    """Every ideal, sorted by (size, member list): `ideal_lattice(...).ideals`."""
-    return ideal_lattice(algebra).ideals
+    """Every ideal, sorted by (size, member list): the lattice's nodes as new `Ideal`s."""
+    lattice = ideal_lattice(algebra)
+    return tuple(map(functools.partial(_node, algebra), lattice.supports.tolist(), lattice.generators.tolist()))
 
 
 def generated_ideal(algebra: FiniteMVAlgebra, seed) -> Ideal:

@@ -7,7 +7,8 @@ ideals, primality by a sweep over meets of non-members) and decomposed
 through a quotient, the Boolean center is found from the tables by the
 a ^ neg a = 0 formula with its closure check (`center_by_formula`), the
 lattice is read off that center and the order matrix (`lattice_by_center`),
-regularity from the two lattices' prime flags (`is_regular_by_lattice`),
+regularity from the prime flags over the two lattices (`is_regular_by_lattice`),
+inclusion from member sets (`inclusion_by_members`),
 classes are numbered by sorting and put
 through the congruence, negation and kernel checks the certificate makes
 redundant (`classes_by_unique`, `congruence_failures`), ideals are checked
@@ -332,18 +333,22 @@ def lattice_by_center(algebra):
                                  subset=subset, prime=prime, maximal=maximal)
 
 
+def inclusion_by_members(ideals):
+    """subset[i, j] iff ideals[i]'s member set lies in ideals[j]'s."""
+    return np.array([[a.members <= b.members for b in ideals] for a in ideals], dtype=bool)
+
+
 def is_regular_by_lattice(algebra):
     """Does every prime ideal of the Boolean center generate a prime ideal?
-    Both primality tests read the two lattices' prime flags: each prime
-    ideal of the center algebra is embedded, the ideal it generates found by
-    `generated_ideal` and looked up in the algebra's lattice."""
+    Both primality tests read `classify`'s prime flag over the two lattices:
+    each prime ideal of the center algebra is embedded, the ideal it
+    generates found by `generated_ideal` and classified in the algebra."""
     center, emb = mv.center_algebra(algebra)
-    lattice_c, lattice = mv.ideals.ideal_lattice(center), mv.ideals.ideal_lattice(algebra)
-    for members, prime in zip(lattice_c.members, lattice_c.prime):
-        if not prime:
+    for ideal in mv.all_ideals(center):
+        if not mv.classify(center, ideal).prime:
             continue
-        generated = mv.generated_ideal(algebra, {emb[m] for m in members})
-        if not lattice.prime[lattice.index[generated.members]]:
+        generated = mv.generated_ideal(algebra, {emb[m] for m in ideal.members})
+        if not mv.classify(algebra, generated).prime:
             return False
     return True
 
@@ -666,24 +671,24 @@ def inverse_system_by_all_pairs(algebra):
     """Every quotient table built, projections as tuples of tuples, and each
     transition read off at the least member of every class and checked well
     defined (proj_j == t_ij o proj_i) at every comparable pair."""
-    lattice = mv.ideals.ideal_lattice(algebra)
-    quotients, projections, reps = [], [], []
-    for ideal in lattice.ideals:
+    ideals, quotients, projections, reps = mv.all_ideals(algebra), [], [], []
+    subset = inclusion_by_members(ideals)
+    for ideal in ideals:
         q, proj = mv.quotient(algebra, ideal)
         quotients.append(q)
         projections.append(np.asarray(proj, dtype=np.int32))
         reps.append(np.unique(projections[-1], return_index=True)[1])
 
     transitions = {}
-    for i, j in zip(*np.nonzero(lattice.subset)):
+    for i, j in zip(*np.nonzero(subset)):
         t = projections[j][reps[i]]
         if (projections[j] != t[projections[i]]).any():
             raise mv.InternalConsistencyError("transition map is not well defined")
         transitions[(int(i), int(j))] = t
     return types.SimpleNamespace(
-        ideals=lattice.ideals, quotients=tuple(quotients),
+        ideals=ideals, quotients=tuple(quotients),
         projections=tuple(tuple(int(c) for c in p) for p in projections),
-        transitions=transitions, subset=lattice.subset)
+        transitions=transitions, subset=subset)
 
 
 def center_correspondence_by_loops(algebra):
@@ -695,17 +700,18 @@ def center_correspondence_by_loops(algebra):
     k = len(ideals_a)
     center, emb = mv.center_algebra(algebra)
     pos_in_center = {a: c for c, a in enumerate(emb)}
-    lattice_c = mv.ideals.ideal_lattice(center)
+    ideals_c = mv.all_ideals(center)
+    index_c = {ideal.members: p for p, ideal in enumerate(ideals_c)}
 
     psi = [frozenset(pos_in_center[m] for m in ideal.members if m in pos_in_center)
            for ideal in ideals_a]
-    psi_pos = [lattice_c.index.get(mem) for mem in psi]
+    psi_pos = [index_c.get(mem) for mem in psi]
     well_defined = None not in psi_pos
     injective = len(set(psi)) == k
-    surjective = set(psi) == set(lattice_c.index)
+    surjective = set(psi) == set(index_c)
     preserves = reverses = False
     if well_defined:
-        through_psi = lattice_c.subset[np.ix_(psi_pos, psi_pos)]
+        through_psi = inclusion_by_members(ideals_c)[np.ix_(psi_pos, psi_pos)]
         preserves = bool((through_psi | ~system.subset).all())
         reverses = bool((system.subset | ~through_psi).all())
 
@@ -762,7 +768,7 @@ def center_correspondence_by_loops(algebra):
 
     return mv.CenterCorrespondenceReport(
         ideal_count=k,
-        center_ideal_count=len(lattice_c.ideals),
+        center_ideal_count=len(ideals_c),
         psi_well_defined=well_defined,
         psi_injective=injective,
         psi_surjective=surjective,

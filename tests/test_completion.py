@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     center_completion_by_threads,
     center_correspondence_by_loops,
     certificate_by_revalidation,
+    inclusion_by_members,
     inverse_system_by_all_pairs,
     shuffled,
     threads_by_search,
@@ -90,8 +92,11 @@ def test_transitions_outside_the_comparable_pairs_raise_key_error():
     k = len(system.ideals)
     improper = k - 1
     assert (0, improper) in system.transitions
-    for pair in ((improper, 0), (1, 2), (2, 1), (0, k), (-1, 0)):
+    assert (np.int64(0), np.uint16(improper)) in system.transitions   # as np.nonzero(system.subset) yields them
+    malformed = ((0.5, 1), ("a", 0), 0, (True, 3), (np.True_, 3), (1,), (0, 1, 2), [0, improper], None)
+    for pair in ((improper, 0), (1, 2), (2, 1), (0, k), (-1, 0)) + malformed:
         assert pair not in system.transitions
+        assert system.transitions.get(pair) is None
         with pytest.raises(KeyError):
             system.transitions[pair]
 
@@ -325,6 +330,34 @@ def test_node_classes_are_numbered_on_first_read_only():
         assert system.reps is system.reps and not any(r.flags.writeable for r in system.reps)
 
 
+def test_inclusion_matrix_is_built_on_first_read_only(family):
+    """On 2^12 (4096 ideals) building the system, alone or inside the
+    completion, both center reports, a transition and `len(transitions)`
+    (3^12, read off the bitmask test) build no 4^k inclusion matrix: none
+    is kept and the traced peak stays under half its 16 MB.  `subset` is
+    built on first read, kept and read-only, and on the shuffled family it
+    is the member-set inclusion."""
+    A = mv.product([L(2)] * 12)
+    tracemalloc.start()
+    try:
+        systems = [mv.build_inverse_system(A), mv.profinite_completion(A).system]
+        assert mv.verify_center_correspondence(A).ok and mv.verify_center_completion_commute(A).ok
+        assert systems[0].transitions[(0, 4095)].tolist() == [0] * 4096
+        assert len(systems[0].transitions) == 3 ** 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 ** 12 // 2 and not any("subset" in vars(system) for system in systems)
+    first = systems[0].subset
+    assert systems[0].subset is first and not first.flags.writeable and first.shape == (4096, 4096)
+    rng = random.Random(113)
+    for combo, algebra in family:
+        system = mv.build_inverse_system(shuffled(algebra, rng))
+        assert np.array_equal(system.subset, inclusion_by_members(system.ideals)), combo
+        assert list(system.transitions) == list(zip(*(a.tolist() for a in np.nonzero(system.subset)))), combo
+        assert len(system.transitions) == int(system.subset.sum()), combo
+
+
 def test_projections_and_reps_share_one_numbering(monkeypatch):
     """Reading both `projections` and `reps` numbers each node once."""
     calls = []
@@ -358,10 +391,10 @@ def test_inverse_system_rejects_a_corrupted_certificate():
     by the per-atom check alone, with the lattice of the valid certificate
     kept, and again with the lattice rebuilt from the corrupted one."""
     A = mv.product([L(3), L(2), L(4)])
-    lattice = mv.ideals.ideal_lattice(A)
+    ideals = mv.all_ideals(A)
     cert, core = A._cache["decomposition"], A._cache["ideal_lattice"]
     pairs = set()
-    for ideal in lattice.ideals:
+    for ideal in ideals:
         if len(ideal) not in (1, A.size):
             proj = mv.quotient(A, ideal)[1]
             pairs |= {(x, y) for x, y in itertools.combinations(range(A.size), 2) if proj[x] != proj[y]}

@@ -317,17 +317,18 @@ def test_ideal_lattice_matches_oracles(family):
     rng = random.Random(31)
     for combo, algebra in family:
         A = shuffled(algebra, rng)
-        lattice = mv.ideals.ideal_lattice(A)
+        lattice, ideals = mv.ideals.ideal_lattice(A), mv.all_ideals(A)
+        subset = mv.build_inverse_system(A).subset
         expected = ideals_by_closure(A)
-        assert [i.members for i in mv.all_ideals(A)] == expected, combo
+        assert [i.members for i in ideals] == expected, combo
         for i, mi in enumerate(expected):
             cls = classify_by_scan(A, mi, expected)
             assert lattice.generators[i] == cls.principal_generator, combo
-            assert mv.classify(A, lattice.ideals[i]) == cls, combo
+            assert mv.classify(A, ideals[i]) == cls, combo
             for j, mj in enumerate(expected):
-                assert lattice.subset[i, j] == (mi <= mj), combo
+                assert subset[i, j] == (mi <= mj), combo
             if cls.proper:
-                parts = mv.maximal_decomposition(A, lattice.ideals[i])
+                parts = mv.maximal_decomposition(A, ideals[i])
                 assert [p.members for p in parts] == maximal_decomposition_by_quotient(A, mi), combo
         for _ in range(8):
             seed = rng.sample(range(A.size), rng.randint(0, min(3, A.size)))
@@ -422,11 +423,13 @@ def test_ideal_lattice_matches_center_oracle(family):
     rng = random.Random(89)
     for combo, algebra in family + [((), mv.trivial_algebra())]:
         A = shuffled(algebra, rng)
-        lattice, want = mv.ideals.ideal_lattice(A), lattice_by_center(A)
-        assert list(lattice.members) == want.members, combo
-        assert [i.generator for i in lattice.ideals] == want.generators.tolist(), combo
-        for got, expected in ((lattice.generators, want.generators), (lattice.subset, want.subset),
-                              (lattice.prime, want.prime), (lattice.maximal, want.maximal)):
+        lattice, ideals, want = mv.ideals.ideal_lattice(A), mv.all_ideals(A), lattice_by_center(A)
+        assert [i.members for i in ideals] == want.members, combo
+        assert [i.generator for i in ideals] == want.generators.tolist(), combo
+        flags = [mv.classify(A, i) for i in ideals]
+        for got, expected in ((lattice.generators, want.generators),
+                              (mv.build_inverse_system(A).subset, want.subset),
+                              ([f.prime for f in flags], want.prime), ([f.maximal for f in flags], want.maximal)):
             assert np.array_equal(got, expected), combo
 
 
